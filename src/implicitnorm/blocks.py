@@ -22,8 +22,8 @@ from .engine import (
     NormSystem,
     constant_best_sum,
     constant_vector_norm,
+    norm,
     norm_value,
-    norming_functional,
 )
 from .vectors import FinVector, Functional, Interval
 
@@ -85,12 +85,9 @@ class BlockSequence:
         return BlockSequence(FinVector.from_json(item) for item in data)
 
 
-def _check_normalized(blocks: Iterable[FinVector], system: NormSystem,
-                      tol: float) -> None:
-    for idx, b in enumerate(blocks):
-        nv = norm_value(b, system)
-        if not _close(nv, 1.0, tol):
-            raise DomainError(f"block {idx} has norm {nv!r}, expected 1 within {tol}")
+def _check_unit_norm(idx: int, nv: float, tol: float) -> None:
+    if not _close(nv, 1.0, tol):
+        raise DomainError(f"block {idx} has norm {nv!r}, expected 1 within {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +333,8 @@ def domination_margin(ys: BlockSequence, coeffs: Iterable[Sequence[float]], *,
                       guard: int = DEFAULT_SUPPORT_GUARD) -> float:
     """min over tuples of ||sum a_i y_i|| - ||sum a_i e_i|| for normalized
     blocks; nonnegative up to tolerance (blocks dominate the basis)."""
-    _check_normalized(ys, system, tol)
+    for idx, y in enumerate(ys):
+        _check_unit_norm(idx, norm_value(y, system, guard=guard), tol)
     margin = math.inf
     count = 0
     for tup in coeffs:
@@ -396,12 +394,13 @@ class ProjectionReport:
 def build_projection(ys: BlockSequence, *, system: NormSystem = F_SYSTEM,
                      tol: float = DEFAULT_TOLERANCE,
                      guard: int = DEFAULT_SUPPORT_GUARD) -> ProjectionOp:
-    _check_normalized(ys, system, tol)
     pairs = []
     frames = []
     prev_max = 0
-    for y in ys:
-        phi = norming_functional(y, system, guard=guard)
+    for idx, y in enumerate(ys):
+        result = norm(y, system, guard=guard)
+        _check_unit_norm(idx, result.value, tol)
+        phi = Functional.from_witness(result.witness, y)
         frame = Interval(prev_max + 1, y.max_support())
         if any(i not in frame for i in phi.support()):
             raise EngineCheckError("functional escaped its frame interval")

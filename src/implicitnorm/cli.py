@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import audits, blocks, engine, serialize
-from .engine import (DomainError, MemoTable, NormSystem, SupportGuardError,
-                     get_system, log2_affine_system)
+from .engine import (DomainError, NormSystem, SupportGuardError, get_system,
+                     log2_affine_system)
 from .vectors import FinVector, VectorError
 
 CONFIG_ENV = "IMPLICITNORM_CONFIG"
@@ -30,13 +30,14 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 
+GNORM_CHUNK = 1 << 16
+
 
 @dataclass
 class Config:
     tolerance: float = engine.DEFAULT_TOLERANCE
     support_guard: int = engine.DEFAULT_SUPPORT_GUARD
     system: str = "f"
-    cache_path: Optional[str] = None
     parallelism: int = 1
 
     def validated(self) -> "Config":
@@ -55,8 +56,7 @@ def _load_config(path: Optional[str]) -> Config:
     if path:
         with open(path) as fh:
             data = json.load(fh)
-        for key in ("tolerance", "support_guard", "system", "cache_path",
-                    "parallelism"):
+        for key in ("tolerance", "support_guard", "system", "parallelism"):
             if key in data:
                 setattr(cfg, key, data[key])
     return cfg
@@ -96,11 +96,10 @@ def _read_blocks(arg: str) -> blocks.BlockSequence:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_norm(args, cfg: Config, memo) -> tuple[int, object]:
+def cmd_norm(args, cfg: Config) -> tuple[int, object]:
     system = _resolve_system(args.system or cfg.system)
     x = _read_vector(args.vector)
-    result = engine.norm(x, system, guard=cfg.support_guard, tol=cfg.tolerance,
-                         memo=memo)
+    result = engine.norm(x, system, guard=cfg.support_guard, tol=cfg.tolerance)
     out = {"value": result.value, "system": system.name,
            "support": x.support_size()}
     if args.character and result.character is not None:
@@ -112,7 +111,7 @@ def cmd_norm(args, cfg: Config, memo) -> tuple[int, object]:
     return EXIT_OK, out
 
 
-def cmd_seq(args, cfg: Config, memo) -> tuple[int, object]:
+def cmd_seq(args, cfg: Config) -> tuple[int, object]:
     system = _resolve_system(args.system or cfg.system)
     sub = args.seq_command
     if sub == "split":
@@ -191,7 +190,7 @@ def _audit_ineq(args, cfg: Config) -> tuple[int, object, list[str]]:
     return (EXIT_OK if expected else EXIT_VIOLATION), summary, rows
 
 
-def cmd_audit(args, cfg: Config, memo) -> tuple[int, object]:
+def cmd_audit(args, cfg: Config) -> tuple[int, object]:
     sub = args.audit_command
     if sub == "ineq":
         code, summary, rows = _audit_ineq(args, cfg)
@@ -219,9 +218,12 @@ def cmd_audit(args, cfg: Config, memo) -> tuple[int, object]:
 
 def _audit_gnorm(args, cfg: Config) -> tuple[int, object]:
     lmax = args.lmax
-    ell = np.arange(2, lmax + 1, dtype=float)
-    scalar_ok = bool(np.all(np.log2(ell + 1.0) >= np.log2((ell + 3.0) / 2.0)))
-    double_ok = bool(np.all(np.log2(1.0 + (2.0 * ell) / 2.0) == np.log2(1.0 + ell)))
+    scalar_ok = double_ok = True
+    # fixed-size chunks keep memory flat however large lmax is
+    for lo in range(2, lmax + 1, GNORM_CHUNK):
+        ell = np.arange(lo, min(lo + GNORM_CHUNK, lmax + 1), dtype=float)
+        scalar_ok &= bool(np.all(np.log2(ell + 1.0) >= np.log2((ell + 3.0) / 2.0)))
+        double_ok &= bool(np.all(np.log2(1.0 + (2.0 * ell) / 2.0) == np.log2(1.0 + ell)))
     rng = np.random.default_rng(args.seed)
     worst = float("inf")
     for _ in range(args.cases):
@@ -251,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float)
     p.add_argument("--guard", type=int, help="support-size guard")
     p.add_argument("--parallelism", type=int)
-    p.add_argument("--cache", help="memo cache file")
     p.add_argument("--record", help="write a run record to this path")
     p.add_argument("--csv", action="store_true", help="CSV output where available")
     p.add_argument("--json", dest="json_out", action="store_true",
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         cfg = _load_config(args.config)
         if args.tolerance is not None:
@@ -329,27 +330,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg.support_guard = args.guard
         if args.parallelism is not None:
             cfg.parallelism = args.parallelism
-        if args.cache is not None:
-            cfg.cache_path = args.cache
         cfg.validated()
 
-        memo = (MemoTable.load(cfg.cache_path) if cfg.cache_path
-                else engine.GLOBAL_MEMO)
-
         if args.command == "norm":
-            code, payload = cmd_norm(args, cfg, memo)
+            code, payload = cmd_norm(args, cfg)
         elif args.command == "seq":
-            code, payload = cmd_seq(args, cfg, memo)
+            code, payload = cmd_seq(args, cfg)
         elif args.command == "audit":
-            code, payload = cmd_audit(args, cfg, memo)
+            code, payload = cmd_audit(args, cfg)
         else:
             raise DomainError(f"unknown command {args.command!r}")
 
         text = payload if isinstance(payload, str) else serialize.dumps(payload)
         sys.stdout.write(text + "\n")
 
-        if cfg.cache_path:
-            memo.save(cfg.cache_path)
         if args.record:
             command = list(argv) if argv is not None else sys.argv[1:]
             digest = hashlib.sha256()
@@ -362,7 +356,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             record = {"command": command,
                       "inputs_digest": digest.hexdigest(),
                       "outputs_digest": hashlib.sha256(text.encode()).hexdigest(),
-                      "elapsed_s": round(time.time() - started, 6),
+                      "elapsed_s": round(time.perf_counter() - started, 6),
                       "engine_version": engine.ENGINE_VERSION,
                       "exit_code": code}
             with open(args.record, "w") as fh:

@@ -33,12 +33,8 @@ witnesses and functionals are reproducible bit for bit.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import pickle
-import struct
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -79,8 +75,9 @@ class EngineCheckError(RuntimeError):
 class NormSystem:
     """A weight function w on part counts n >= min_parts, w(n) > 1 increasing.
 
-    The (name, min_parts) pair identifies the system in memo caches, so
-    distinct custom weight functions need distinct names.
+    The memo and the composition tables key on the system value itself,
+    that is on (name, min_parts, weight_fn), so two systems that share a
+    name but not a weight function never share cached values.
     """
 
     name: str
@@ -103,10 +100,6 @@ class NormSystem:
             w = float(self.weight_fn(n))
             self._weights[n] = w
         return w
-
-    @property
-    def cache_key(self) -> tuple[str, int]:
-        return (self.name, self.min_parts)
 
 
 def _f_weight(n: int) -> float:
@@ -138,15 +131,12 @@ def get_system(name: str) -> NormSystem:
 
 
 # ---------------------------------------------------------------------------
-# Memo table (content-addressed cache for norm values)
+# Memo table (in-process cache for norm values)
 # ---------------------------------------------------------------------------
 
-def vector_digest(values: tuple[float, ...]) -> str:
-    return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
-
-
 class MemoTable:
-    """Cache of computed norm values keyed by (system, canonical sub-vector).
+    """In-process cache of computed norm values keyed by (system value,
+    canonical sub-vector).
 
     The canonical form is the tuple of absolute coefficients in support
     order: the norm is invariant under sign flips and spreadings by
@@ -161,11 +151,11 @@ class MemoTable:
 
     def get(self, system: NormSystem, canon: tuple[float, ...]) -> Optional[float]:
         with self._lock:
-            return self._data.get((system.cache_key, canon))
+            return self._data.get((system, canon))
 
     def put(self, system: NormSystem, canon: tuple[float, ...], value: float) -> None:
         with self._lock:
-            self._data[(system.cache_key, canon)] = value
+            self._data[(system, canon)] = value
 
     def __len__(self) -> int:
         return len(self._data)
@@ -173,39 +163,6 @@ class MemoTable:
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        with self._lock:
-            payload = {"version": ENGINE_VERSION,
-                       "entries": {(sk, vector_digest(canon)): val
-                                   for (sk, canon), val in self._data.items()}}
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
-        self._persisted = payload["entries"]
-
-    @staticmethod
-    def load(path: str) -> "MemoTable":
-        table = MemoTable()
-        try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            if payload.get("version") != ENGINE_VERSION:
-                warnings.warn("memo cache from a different engine version; rebuilding")
-                return table
-            table._persisted = payload.get("entries", {})
-        except FileNotFoundError:
-            pass
-        except Exception:
-            warnings.warn("memo cache unreadable; rebuilding")
-        return table
-
-    def lookup_digest(self, system: NormSystem, canon: tuple[float, ...]) -> Optional[float]:
-        persisted = getattr(self, "_persisted", None)
-        if persisted is None:
-            return None
-        return persisted.get((system.cache_key, vector_digest(canon)))
 
 
 GLOBAL_MEMO = MemoTable()
@@ -426,16 +383,16 @@ class _ConstTables:
         return WitnessTree.split(nn, self.system.weight(nn), children)
 
 
-_CONST_TABLES: dict[tuple[str, int], _ConstTables] = {}
+_CONST_TABLES: dict[NormSystem, _ConstTables] = {}
 _CONST_LOCK = threading.Lock()
 
 
 def _const_tables(system: NormSystem) -> _ConstTables:
     with _CONST_LOCK:
-        tab = _CONST_TABLES.get(system.cache_key)
+        tab = _CONST_TABLES.get(system)
         if tab is None:
             tab = _ConstTables(system)
-            _CONST_TABLES[system.cache_key] = tab
+            _CONST_TABLES[system] = tab
         return tab
 
 
@@ -567,9 +524,6 @@ def norm_value(x: FinVector, system: NormSystem = F_SYSTEM, *,
     vabs = tuple(abs(v) for v in x.values)
     if memo is not None:
         hit = memo.get(system, vabs)
-        if hit is not None:
-            return hit
-        hit = memo.lookup_digest(system, vabs)
         if hit is not None:
             return hit
     if L > guard:

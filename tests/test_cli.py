@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -12,9 +11,7 @@ from implicitnorm import cli
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = cli.main(list(argv))
+        code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -213,21 +210,6 @@ class TestConfigAndCache:
         monkeypatch.setenv(cli.CONFIG_ENV, str(cfgpath))
         _, out, _ = run_cli("norm", '{"dense":[1,1]}')
         assert json.loads(out)["system"] == "g"
-
-    def test_cache_roundtrip(self, tmp_path):
-        cache = tmp_path / "cache.bin"
-        args = ("--cache", str(cache), "norm", '{"dense":[1,0.5,2]}')
-        code1, out1, _ = run_cli(*args)
-        assert cache.exists()
-        code2, out2, _ = run_cli(*args)
-        assert (code1, out1) == (code2, out2)
-
-    def test_cache_corruption_recovers(self, tmp_path):
-        cache = tmp_path / "cache.bin"
-        cache.write_bytes(b"garbage")
-        code, out, _ = run_cli("--cache", str(cache), "norm", '{"dense":[1,1]}')
-        assert code == 0
-        assert json.loads(out)["value"] == pytest.approx(2 / math.log2(3))
 
     def test_record(self, tmp_path):
         rec = tmp_path / "run.json"

@@ -402,22 +402,6 @@ class TestMemoAndDeterminism:
         v3 = norm_value(x, memo=None)
         assert v1 == v2 == v3
 
-    def test_memo_persistence_roundtrip(self, tmp_path):
-        path = str(tmp_path / "memo.bin")
-        table = MemoTable()
-        x = FinVector.from_dense([1.0, 2.0, -0.5])
-        v = norm_value(x, memo=table)
-        table.save(path)
-        loaded = MemoTable.load(path)
-        assert norm_value(x, memo=loaded) == v
-
-    def test_memo_corruption_rebuilds(self, tmp_path):
-        path = tmp_path / "memo.bin"
-        path.write_bytes(b"not a cache")
-        with pytest.warns(UserWarning):
-            loaded = MemoTable.load(str(path))
-        assert len(loaded) == 0
-
     def test_bitwise_reproducibility(self):
         rng = np.random.default_rng(15)
         xs = [random_vector(rng, max_support=9) for _ in range(20)]
@@ -433,6 +417,17 @@ class TestCustomSystem:
         x = FinVector.from_dense([1.0, -0.4, 0.9])
         assert norm_value(x, f_like, memo=None) == norm_value(x, memo=None)
         assert norm_value(x, g_like, memo=None) == norm_value(x, G_SYSTEM, memo=None)
+
+    def test_same_name_as_builtin_does_not_share_caches(self):
+        # w(n) = log2(3 + n) under the name "f": the memo and the flat-path
+        # composition tables must not hand back F's values
+        flat = ones(100)
+        small = ones(4)
+        norm_value(flat)
+        norm_value(small)
+        impostor = log2_affine_system("f", 2, 3.0, 1.0)
+        assert norm_value(flat, impostor, memo=None) == 14.955506186451524
+        assert norm_value(small, impostor) == 1.4248287484320887
 
     def test_invalid_system(self):
         with pytest.raises(DomainError):
