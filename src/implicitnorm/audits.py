@@ -431,7 +431,7 @@ def refinement_margin(x: FinVector, r: float, d: float, *,
             seg_linf = float(np.max(tables.vabs[i:j + 1]))
             best = seg_linf
             run = -np.inf
-            sums = tables.S[i, :, j]
+            sums = tables.S[j][i]
             for ell in range(first_next, max(first_next, ln) + 1):
                 top = min(ell, ln)
                 run = max(run, float(np.max(sums[1:top + 1])))

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,9 +56,13 @@ def _load_config(path: Optional[str]) -> Config:
     if path:
         with open(path) as fh:
             data = json.load(fh)
-        for key in ("tolerance", "support_guard", "system", "parallelism"):
-            if key in data:
-                setattr(cfg, key, data[key])
+        if not isinstance(data, dict):
+            raise DomainError("config file must hold a JSON object")
+        known = {f.name for f in fields(Config)}
+        for key, value in data.items():
+            if key not in known:
+                raise DomainError(f"unknown config key {key!r}")
+            setattr(cfg, key, value)
     return cfg
 
 

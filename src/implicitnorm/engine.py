@@ -17,13 +17,21 @@ enlarging a set to its hull cannot decrease any part's norm.  The
 engine exploits this with a dynamic program over the tables
 
     N[i, j]     norm of the restriction to support positions i..j
-    S[i, n, j]  best sum of part norms over partitions of i..j into
-                exactly n contiguous position runs,
+    S[j][i, n]  best sum of part norms over partitions of i..j into
+                exactly n contiguous position runs (one array per right
+                end j, of shape (j+1, j+2), so nothing is stored for
+                i > j or n > j-i+1),
 
-with S[i, n, j] = max over m of N[i, m] + S[m+1, n-1, j].  The set-level
-supremum is kept alive independently in ``brute_norm``, which enumerates
-all gapped successive-set families on small supports; the acceptance
-suite checks the two routes agree.
+with S[j][i, n] = max over m of N[i, m] + S[j][m+1, n-1].  For each pair
+(i, j) every part count n is filled by one max over the (m, n) block;
+part counts a remainder cannot hold read -inf and drop out.  The tables
+take about 8 L^3 / 3 bytes, so the 1 GiB cap admits supports up to 735.
+Bitwise-constant vectors take a composition DP over lengths instead,
+which reaches the support guard (4096).
+
+The set-level supremum is kept alive independently in ``brute_norm``,
+which enumerates all gapped successive-set families on small supports;
+the acceptance suite checks the two routes agree.
 
 Determinism: candidates are scanned in a fixed order (sup-norm branch
 first, then ascending part count, then earliest split points) and a new
@@ -46,12 +54,15 @@ ENGINE_VERSION = "implicitnorm-engine-1"
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SUPPORT_GUARD = 4096
-# Full interval DP needs an O(L^3) table; refuse sizes whose tables
-# would not fit rather than letting numpy die trying.
+# The interval DP needs O(L^3) table memory (``dp_table_bytes``); refuse
+# sizes whose tables would not fit rather than letting numpy die trying.
 DP_MEMORY_LIMIT_BYTES = 1 << 30
 # Bitwise-constant vectors larger than this route through the
 # length-composition fast path instead of the full DP.
 CONSTANT_ROUTE_MIN = 65
+# First-piece lengths per vectorized step of the composition DP: bounds
+# its temporary to CONST_CHUNK rows of the table (about 260 KB at 1016).
+CONST_CHUNK = 32
 BRUTE_SUPPORT_CAP = 8
 
 
@@ -181,7 +192,7 @@ class IntervalTables:
     signed: np.ndarray
     vabs: np.ndarray
     N: np.ndarray          # N[i, j]
-    S: np.ndarray          # S[i, n, j], n >= 1
+    S: list[np.ndarray]    # S[j][i, n], i <= j, 1 <= n <= j - i + 1
     kind: np.ndarray       # 0 = sup-norm leaf, else winning part count
 
     @property
@@ -194,10 +205,15 @@ class IntervalTables:
     def best_sum(self, k: int) -> float:
         L = self.size
         top = min(k, L)
-        return float(max(self.S[0, n, L - 1] for n in range(1, top + 1)))
+        return float(np.max(self.S[L - 1][0, 1:top + 1]))
 
     def layer_value(self, ell: int) -> float:
         return self.best_sum(ell) / self.system.weight(ell)
+
+
+def dp_table_bytes(L: int) -> int:
+    """Bytes of the N, kind and per-right-end S tables at support size L."""
+    return 8 * (L * (L + 1) * (L + 2) // 3) + 16 * L * L
 
 
 def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
@@ -207,7 +223,7 @@ def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
         raise DomainError("zero vector has no DP tables")
     if L > guard:
         raise SupportGuardError(f"support size {L} exceeds guard {guard}")
-    need = 8 * (L + 1) * L * L + 16 * L * L
+    need = dp_table_bytes(L)
     if need > DP_MEMORY_LIMIT_BYTES:
         raise SupportGuardError(
             f"support size {L} needs ~{need >> 20} MiB of DP tables "
@@ -219,21 +235,19 @@ def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
     W = system.weight
 
     N = np.full((L, L), -np.inf)
-    S = np.full((L, L + 1, L), -np.inf)
+    S = [np.full((j + 1, j + 2), -np.inf) for j in range(L)]
     kind = np.zeros((L, L), dtype=np.int64)
 
     for j in range(L):
-        for i in range(j, -1, -1):
+        col = S[j]
+        N[j, j] = v[j]
+        col[j, 1] = v[j]
+        for i in range(j - 1, -1, -1):
             ln = j - i + 1
-            if ln == 1:
-                N[i, j] = v[i]
-                S[i, 1, j] = v[i]
-                continue
-            for n in range(2, ln + 1):
-                hi = j - n + 1  # last admissible end of the first part
-                a = N[i, i:hi + 1]
-                b = S[i + 1:hi + 2, n - 1, j]
-                S[i, n, j] = np.max(a + b)
+            # rows: first part i..m for m = i..j-1; columns: n - 1 parts
+            # on the rest.  Part counts the rest cannot hold read -inf.
+            col[i, 2:ln + 1] = np.max(N[i, i:j, None] + col[i + 1:j + 1, 1:ln],
+                                      axis=0)
             seg = v[i:j + 1]
             best = float(np.max(seg))
             l1v = float(np.sum(seg))
@@ -243,12 +257,12 @@ def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
                 w = W(nn)
                 if l1v / w < best:
                     break  # upper bound below incumbent for this and all larger n
-                val = S[i, n, j] / w
+                val = col[i, n] / w
                 if val > best:
                     best = val
                     chosen = n
             N[i, j] = best
-            S[i, 1, j] = best
+            col[i, 1] = best
             kind[i, j] = chosen
 
     return IntervalTables(system, x.indices, signed, v, N, S, kind)
@@ -264,7 +278,7 @@ def _witness_from_tables(t: IntervalTables, i: int, j: int) -> WitnessTree:
     cur, rem = i, n
     while rem > 1:
         hi = j - rem + 1
-        arr = t.N[cur, cur:hi + 1] + t.S[cur + 1:hi + 2, rem - 1, j]
+        arr = t.N[cur, cur:hi + 1] + t.S[j][cur + 1:hi + 2, rem - 1]
         m = cur + int(np.argmax(arr))
         children.append(_witness_from_tables(t, cur, m))
         cur, rem = m + 1, rem - 1
@@ -293,8 +307,11 @@ class _ConstTables:
         self.filled = 1
         self.nu = np.zeros(2)
         self.nu[1] = 1.0
-        self.T = np.full((2, 2), -np.inf)
-        self.T[1, 1] = 1.0
+        # stored length-major, [len, n], so one length's part counts and
+        # the rows read to fill them are contiguous; T is the [n, len] view
+        Tl = np.full((2, 2), -np.inf)
+        Tl[1, 1] = 1.0
+        self.T = Tl.T
         self._lock = threading.RLock()
 
     def _grow(self, L: int) -> None:
@@ -302,37 +319,34 @@ class _ConstTables:
         if L <= cap:
             return
         new_cap = max(L, 2 * cap)
-        T = np.full((new_cap + 1, new_cap + 1), -np.inf)
-        T[: cap + 1, : cap + 1] = self.T
+        Tl = np.full((new_cap + 1, new_cap + 1), -np.inf)
+        Tl[: cap + 1, : cap + 1] = self.T.T
         nu = np.zeros(new_cap + 1)
         nu[: cap + 1] = self.nu
-        self.T, self.nu = T, nu
+        self.T, self.nu = Tl.T, nu
 
     def ensure(self, L: int) -> None:
         with self._lock:
             if L <= self.filled:
                 return
             self._grow(L)
-            nu, T = self.nu, self.T
+            nu, Tl = self.nu, self.T.T
             l0 = self.system.min_parts
             W = self.system.weight
+            wv = np.array([W(n if n >= l0 else l0) for n in range(L + 1)])
             for ln in range(self.filled + 1, L + 1):
-                for n in range(2, ln + 1):
-                    a = nu[1:ln - n + 2]
-                    b = T[n - 1, ln - 1:n - 2:-1]
-                    T[n, ln] = np.max(a + b)
-                best = 1.0
-                chosen_l1 = float(ln)
-                for n in range(2, ln + 1):
-                    nn = n if n >= l0 else l0
-                    w = W(nn)
-                    if chosen_l1 / w < best:
-                        break
-                    val = T[n, ln] / w
-                    if val > best:
-                        best = val
+                # first piece of length p = 1..ln-1, the rest in n - 1 parts;
+                # the row starts at -inf, and chunks of CONST_CHUNK
+                # first-piece lengths bound the temporary
+                sums = Tl[ln, 2:ln + 1]
+                for p0 in range(1, ln, CONST_CHUNK):
+                    p1 = min(p0 + CONST_CHUNK, ln)
+                    np.maximum(sums, np.max(nu[p0:p1, None]
+                                            + Tl[ln - p0:ln - p1:-1, 1:ln], axis=0),
+                               out=sums)
+                best = max(1.0, float(np.max(sums / wv[2:ln + 1])))
                 nu[ln] = best
-                T[1, ln] = best
+                Tl[ln, 1] = best
             self.filled = L
 
     def norm_unit(self, L: int) -> float:

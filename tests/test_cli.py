@@ -204,6 +204,15 @@ class TestConfigAndCache:
                                '{"dense":[1,1]}')
         assert json.loads(out)["system"] == "g"
 
+    def test_config_unknown_key_exit_2(self, tmp_path):
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({"tolerence": -1}))
+        code, out, err = run_cli("--config", str(cfgpath), "norm",
+                                 '{"dense":[1,1]}')
+        assert code == 2
+        assert out == ""
+        assert "'tolerence'" in err
+
     def test_config_env(self, tmp_path, monkeypatch):
         cfgpath = tmp_path / "cfg.json"
         cfgpath.write_text(json.dumps({"system": "g"}))

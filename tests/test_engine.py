@@ -1,14 +1,18 @@
+import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from implicitnorm import (DomainError, F_SYSTEM, G_SYSTEM, FinVector, MemoTable,
-                          SupportGuardError, best_sum, brute_norm, character,
-                          constant_best_sum, constant_vector_norm, layer_norm,
-                          log2_affine_system, norm, norm_value,
-                          norming_functional, tail_layer_norm)
+                          SupportGuardError, best_sum, brute_norm, build_tables,
+                          character, constant_best_sum, constant_vector_norm,
+                          engine, layer_norm, log2_affine_system, norm,
+                          norm_value, norming_functional, tail_layer_norm)
+from implicitnorm.engine import dp_table_bytes
 from conftest import random_vector
 
 F2 = math.log2(3.0)     # weight of a 2-part split
@@ -233,6 +237,11 @@ class TestConstantFastPath:
         with pytest.raises(DomainError):
             constant_vector_norm(F_SYSTEM, 0, 1.0)
 
+    def test_flat_law_bitwise_to_600(self):
+        # Schlumprecht's identity ||e_1 + ... + e_n|| = n / log2(n + 1)
+        for n in range(1, 601):
+            assert constant_vector_norm(F_SYSTEM, n, 1.0) == n / math.log2(n + 1), n
+
     def test_tail_layers_on_constant_route(self):
         L = 70
         x = ones(L).scale(0.1)
@@ -391,6 +400,140 @@ class TestNormAxioms:
         for _ in range(60):
             x = random_vector(rng, max_support=8)
             assert norm_value(x, G_SYSTEM) >= norm_value(x) - 1e-9
+
+
+def _golden_vector(L, seed, rounded):
+    """Seeded non-flat vector with gaps; rounding to one decimal plants
+    exact ties between candidate splits."""
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-2.0, 2.0, L)
+    if rounded:
+        vals = np.round(vals, 1)
+    vals[vals == 0.0] = 0.5
+    vals[0] = 2.5  # never bitwise flat
+    idxs = np.cumsum(rng.integers(1, 4, L))
+    return FinVector((int(i), float(v)) for i, v in zip(idxs, vals))
+
+
+def _golden_digest(x, system):
+    """Digest of layout-independent DP output: the N and kind tables,
+    every best_sum and the full norm result with its witness."""
+    t = build_tables(x, system)
+    L = t.size
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.ascontiguousarray(t.N, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(t.kind, dtype="<i8").tobytes())
+    h.update(np.array([t.best_sum(k) for k in range(1, L + 2)], dtype="<f8").tobytes())
+    h.update(json.dumps(norm(x, system, memo=None).to_jsonable(),
+                        sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _golden_const_digest(system):
+    sums = [constant_best_sum(system, 300, 1.0, k) for k in range(1, 301)]
+    return hashlib.blake2b(np.array(sums, dtype="<f8").tobytes(),
+                           digest_size=16).hexdigest()
+
+
+def _loop_reference(x, system):
+    """The per-part-count loop that the vectorized kernel replaced, kept
+    as a reference: N, kind and S in its cube layout S[i, n, j]."""
+    v = np.abs(np.array(x.values, dtype=float))
+    L = len(v)
+    N = np.full((L, L), -np.inf)
+    S = np.full((L, L + 1, L), -np.inf)
+    kind = np.zeros((L, L), dtype=np.int64)
+    for j in range(L):
+        for i in range(j, -1, -1):
+            ln = j - i + 1
+            if ln == 1:
+                N[i, j] = S[i, 1, j] = v[i]
+                continue
+            for n in range(2, ln + 1):
+                hi = j - n + 1
+                S[i, n, j] = np.max(N[i, i:hi + 1] + S[i + 1:hi + 2, n - 1, j])
+            best, l1v, chosen = float(np.max(v[i:j + 1])), float(np.sum(v[i:j + 1])), 0
+            for n in range(2, ln + 1):
+                w = system.weight(max(n, system.min_parts))
+                if l1v / w < best:
+                    break
+                if S[i, n, j] / w > best:
+                    best, chosen = S[i, n, j] / w, n
+            N[i, j] = S[i, 1, j] = best
+            kind[i, j] = chosen
+    return N, S, kind
+
+
+class TestVectorizedKernel:
+    @given(st.lists(st.floats(-2, 2, allow_nan=False).filter(lambda v: abs(v) > 1e-3),
+                    min_size=1, max_size=14),
+           st.booleans(), st.sampled_from([F_SYSTEM, G_SYSTEM]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_reference_bitwise(self, vals, rounded, system):
+        if rounded:  # plant exact ties between candidate splits
+            vals = [round(v, 1) or 0.5 for v in vals]
+        x = FinVector.from_dense(vals)
+        N, S, kind = _loop_reference(x, system)
+        t = build_tables(x, system)
+        assert np.array_equal(t.N, N) and np.array_equal(t.kind, kind)
+        for j in range(len(vals)):
+            assert np.array_equal(t.S[j], S[:j + 1, :j + 2, j])
+
+
+class TestGoldenDigests:
+    """Digests recorded from the per-part-count loop kernels; any change
+    to the DP kernels must reproduce their output bit for bit."""
+
+    DP = {
+        ("f", 16, False): "ca0c340224016eebc78153ba4f757f36",
+        ("f", 16, True): "3974f947caa2366e1007577ff805cac6",
+        ("f", 64, False): "1fbc16626d2c3f16e61a1d76dfb2b126",
+        ("f", 64, True): "b405253d81d8aa75fefca1fd54d76663",
+        ("f", 128, False): "fe0bd46e0ad2539cd39655bc9da8438c",
+        ("f", 128, True): "50289164008927ea98cfc64875c1f76a",
+        ("g", 16, False): "5368913ebf3bfffb20f6de9b81264554",
+        ("g", 16, True): "5bde038878f3dd21d881bfa8b7431737",
+        ("g", 64, False): "71cc2cb618a6c78c89c33e8973609646",
+        ("g", 64, True): "437f3514f6b7a827ceeb78d95ebfaae7",
+        ("g", 128, False): "c14b74de45d7174a3e2ceba845dc2bda",
+        ("g", 128, True): "5afbc38c732f32c17cba225359af262a",
+    }
+    CONST = {"f": "a0b29bb58c613d02c09ec530d9e9cfb0",
+             "g": "659cf97eb9053a85c0e0cf85e9f579af"}
+
+    @pytest.mark.parametrize("name,L,rounded", sorted(DP))
+    def test_interval_dp(self, name, L, rounded):
+        system = F_SYSTEM if name == "f" else G_SYSTEM
+        x = _golden_vector(L, 1000 + L, rounded)
+        assert _golden_digest(x, system) == self.DP[(name, L, rounded)]
+
+    @pytest.mark.parametrize("name", sorted(CONST))
+    def test_composition_dp(self, name):
+        system = F_SYSTEM if name == "f" else G_SYSTEM
+        assert _golden_const_digest(system) == self.CONST[name]
+
+
+class TestMemoryGuard:
+    def test_default_cap_admits_735(self):
+        assert dp_table_bytes(735) <= engine.DP_MEMORY_LIMIT_BYTES < dp_table_bytes(736)
+
+    def test_estimate_is_exact_and_refusal_allocates_nothing(self, monkeypatch):
+        L = 120
+        monkeypatch.setattr(engine, "DP_MEMORY_LIMIT_BYTES", dp_table_bytes(L))
+        t = build_tables(_golden_vector(L, 5, False))
+        assert dp_table_bytes(L) == \
+            t.N.nbytes + t.kind.nbytes + sum(c.nbytes for c in t.S)
+
+        over = _golden_vector(L + 1, 5, False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SupportGuardError):
+                build_tables(over)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the N table alone would be 8 * 121^2 bytes, about 117 KB
+        assert peak < 64 * 1024
 
 
 class TestMemoAndDeterminism:
