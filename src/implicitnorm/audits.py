@@ -431,10 +431,10 @@ def refinement_margin(x: FinVector, r: float, d: float, *,
             seg_linf = float(np.max(tables.vabs[i:j + 1]))
             best = seg_linf
             run = -np.inf
-            sums = tables.S[j][i]
+            sums = tables.sums(i, j)
             for ell in range(first_next, max(first_next, ln) + 1):
                 top = min(ell, ln)
-                run = max(run, float(np.max(sums[1:top + 1])))
+                run = max(run, float(np.max(sums[:top])))
                 best = max(best, run / system.weight(ell))
             V[i, j] = best
 

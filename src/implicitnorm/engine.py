@@ -16,16 +16,21 @@ partitions of the support: the norm only reads absolute values, so
 enlarging a set to its hull cannot decrease any part's norm.  The
 engine exploits this with a dynamic program over the tables
 
-    N[i, j]     norm of the restriction to support positions i..j
-    S[j][i, n]  best sum of part norms over partitions of i..j into
-                exactly n contiguous position runs (one array per right
-                end j, of shape (j+1, j+2), so nothing is stored for
-                i > j or n > j-i+1),
+    N[i, j]        norm of the restriction to support positions i..j
+    S(i, j)[n-1]   best sum of part norms over partitions of i..j into
+                   exactly n contiguous position runs (read through
+                   ``IntervalTables.sums``),
 
-with S[j][i, n] = max over m of N[i, m] + S[j][m+1, n-1].  For each pair
-(i, j) every part count n is filled by one max over the (m, n) block;
-part counts a remainder cannot hold read -inf and drop out.  The tables
-take about 8 L^3 / 3 bytes, so the 1 GiB cap admits supports up to 735.
+with S(i, j)[n-1] = max over m of N[i, m] + S(m+1, j)[n-2].  Every
+interval of length ell depends only on shorter ones, so the DP runs over
+lengths: all starts of one length are filled by one batched max over the
+first part's length (part counts a remainder cannot hold read -inf and
+drop out), and one vectorized scan then picks each interval's norm and
+part count.  N and kind are written and read through strided diagonal
+views.  S keeps the planes of S_GROUP consecutive right ends j in one
+array indexed [j, length, part count], sized for the group's last right
+end, so a batch of starts reads one plain slice.  The tables take about
+8 L^3 / 3 bytes, so the 1 GiB cap admits supports up to 735.
 Bitwise-constant vectors take a composition DP over lengths instead,
 which reaches the support guard (4096).
 
@@ -36,13 +41,18 @@ the acceptance suite checks the two routes agree.
 Determinism: candidates are scanned in a fixed order (sup-norm branch
 first, then ascending part count, then earliest split points) and a new
 candidate replaces the incumbent only when strictly larger, so values,
-witnesses and functionals are reproducible bit for bit.
+witnesses and functionals are reproducible bit for bit.  ``norm``
+evaluates each witness it returns and raises ``EngineCheckError`` when the
+witness misses the value.
+
+The engine is single-threaded per process: the memo and the composition
+tables are plain module-level dicts with no locks, so concurrent callers
+need processes, not threads.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -63,7 +73,19 @@ CONSTANT_ROUTE_MIN = 65
 # First-piece lengths per vectorized step of the composition DP: bounds
 # its temporary to CONST_CHUNK rows of the table (about 260 KB at 1016).
 CONST_CHUNK = 32
+# Right ends whose S planes share one 3-D array, so that one batched fill
+# step reads a plain slice over up to S_GROUP consecutive starts.  Larger
+# groups batch more starts but pad more planes (each is sized for the
+# group's last right end): at S_GROUP = 4 a fill at L = 128 peaks no
+# higher than with one array per right end.
+S_GROUP = 4
+# Elements of the add temporary of one batched fill step; numpy's iterator
+# buffers come on top, up to this size for each strided operand.
+DP_BATCH = 1 << 13
 BRUTE_SUPPORT_CAP = 8
+# ``norm`` evaluates its witness on the input; the witness adds left to
+# right while the DP nests its sums, so they agree to rounding, not bits.
+WITNESS_CHECK_RTOL = 1e-12
 
 
 class SupportGuardError(RuntimeError):
@@ -158,22 +180,18 @@ class MemoTable:
 
     def __init__(self):
         self._data: dict = {}
-        self._lock = threading.Lock()
 
     def get(self, system: NormSystem, canon: tuple[float, ...]) -> Optional[float]:
-        with self._lock:
-            return self._data.get((system, canon))
+        return self._data.get((system, canon))
 
     def put(self, system: NormSystem, canon: tuple[float, ...], value: float) -> None:
-        with self._lock:
-            self._data[(system, canon)] = value
+        self._data[(system, canon)] = value
 
     def __len__(self) -> int:
         return len(self._data)
 
     def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
+        self._data.clear()
 
 
 GLOBAL_MEMO = MemoTable()
@@ -192,7 +210,7 @@ class IntervalTables:
     signed: np.ndarray
     vabs: np.ndarray
     N: np.ndarray          # N[i, j]
-    S: list[np.ndarray]    # S[j][i, n], i <= j, 1 <= n <= j - i + 1
+    S: list[np.ndarray]    # [j // S_GROUP][j % S_GROUP, length - 1, n - 1], see sums
     kind: np.ndarray       # 0 = sup-norm leaf, else winning part count
 
     @property
@@ -202,18 +220,28 @@ class IntervalTables:
     def value(self) -> float:
         return float(self.N[0, self.size - 1])
 
-    def best_sum(self, k: int) -> float:
-        L = self.size
-        top = min(k, L)
-        return float(np.max(self.S[L - 1][0, 1:top + 1]))
+    def sums(self, i: int, j: int) -> np.ndarray:
+        """Best part-norm sums of positions i..j: entry n - 1 is the best
+        over partitions into exactly n runs, for n = 1..j-i+1."""
+        g, p = divmod(j, S_GROUP)
+        return self.S[g][p, j - i, :j - i + 1]
 
-    def layer_value(self, ell: int) -> float:
-        return self.best_sum(ell) / self.system.weight(ell)
+    def layer_sums(self) -> np.ndarray:
+        """Running max of the whole support's sums: entry k - 1 is the
+        best sum over at most k parts."""
+        return np.maximum.accumulate(self.sums(0, self.size - 1))
+
+    def best_sum(self, k: int) -> float:
+        return float(self.layer_sums()[min(k, self.size) - 1])
 
 
 def dp_table_bytes(L: int) -> int:
-    """Bytes of the N, kind and per-right-end S tables at support size L."""
-    return 8 * (L * (L + 1) * (L + 2) // 3) + 16 * L * L
+    """Bytes of the N (float64), kind (int16) and grouped S tables at
+    support size L: full group g holds S_GROUP planes of (S_GROUP (g+1))^2
+    cells, a last partial group L % S_GROUP planes of L^2."""
+    q, r = divmod(L, S_GROUP)
+    cells = S_GROUP ** 3 * q * (q + 1) * (2 * q + 1) // 6 + r * L * L
+    return 8 * cells + 10 * L * L
 
 
 def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
@@ -232,40 +260,86 @@ def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
     signed = np.array(x.values, dtype=float)
     v = np.abs(signed)
     l0 = system.min_parts
-    W = system.weight
+    # wv[n - 1] divides the n-part sums; wv[0] = 1 passes the sup norm
+    wv = np.array([1.0] + [system.weight(max(n, l0)) for n in range(2, L + 1)])
+    groups = [(j0, min(j0 + S_GROUP, L) - 1) for j0 in range(0, L, S_GROUP)]
 
     N = np.full((L, L), -np.inf)
-    S = [np.full((j + 1, j + 2), -np.inf) for j in range(L)]
-    kind = np.zeros((L, L), dtype=np.int64)
+    kind = np.zeros((L, L), dtype=np.int16)
+    S = [np.full((j1 - j0 + 1, j1 + 1, j1 + 1), -np.inf) for j0, j1 in groups]
+    # Band views: N_band[i, k] = N[i, i + k] (a row stride of L + 1), so
+    # column ell - 1 is the diagonal of the intervals of length ell and
+    # its left columns hold the first parts of their splits.
+    N_band = N.reshape(-1)[:L * L - 1].reshape(L - 1, L + 1)
+    kind_band = kind.reshape(-1)[:L * L - 1].reshape(L - 1, L + 1)
+    # rows[i, n - 1] for the current length: S of the interval at start i
+    # with n parts; the buffer fits the largest length, ell about L / 2
+    buf = np.empty(((L + 2) // 2) * ((L + 1) // 2))
 
-    for j in range(L):
-        col = S[j]
-        N[j, j] = v[j]
-        col[j, 1] = v[j]
-        for i in range(j - 1, -1, -1):
-            ln = j - i + 1
-            # rows: first part i..m for m = i..j-1; columns: n - 1 parts
-            # on the rest.  Part counts the rest cannot hold read -inf.
-            col[i, 2:ln + 1] = np.max(N[i, i:j, None] + col[i + 1:j + 1, 1:ln],
-                                      axis=0)
-            seg = v[i:j + 1]
-            best = float(np.max(seg))
-            l1v = float(np.sum(seg))
-            chosen = 0
-            for n in range(2, ln + 1):
-                nn = n if n >= l0 else l0
-                w = W(nn)
-                if l1v / w < best:
-                    break  # upper bound below incumbent for this and all larger n
-                val = col[i, n] / w
-                if val > best:
-                    best = val
-                    chosen = n
-            N[i, j] = best
-            col[i, 1] = best
-            kind[i, j] = chosen
+    N.reshape(-1)[::L + 1] = v
+    for (j0, j1), plane in zip(groups, S):
+        plane[:, 0, 0] = v[j0:j1 + 1]
+    sup = v                   # sup[i]: largest entry of the interval at i
+    part_count = np.arange(1, L + 1)    # of the scan's winning column
+    part_count[0] = 0                   # the sup-norm leaf
+    add_reduce, amax = np.add.reduce, np.maximum.reduce
+
+    for ell in range(2, L + 1):
+        cnt = L - ell + 1     # starts 0..L-ell, right ends ell-1..L-1
+        first = N_band[:cnt, :ell - 1]
+        rows = buf[:cnt * ell].reshape(cnt, ell)
+        # n >= 2 parts: a first part of length k, then n - 1 parts on the
+        # rest, read at length ell - k from the right end's plane; part
+        # counts the rest cannot hold read -inf.  Steps of `step` starts
+        # and `span` first-part lengths keep the sum under DP_BATCH.
+        step = max(1, DP_BATCH // (ell - 1) ** 2)
+        span = min(ell - 1, max(1, DP_BATCH // (ell - 1)))
+        live = (ell - 1) // S_GROUP    # first group holding a right end
+        for (j0, j1), plane in zip(groups[live:], S[live:]):
+            for a in range(max(j0, ell - 1), j1 + 1, step):
+                b = min(a + step, j1 + 1)
+                i0, i1 = a - ell + 1, b - ell + 1
+                out = rows[i0:i1, 1:]
+                rest = plane[a - j0:b - j0, :, :ell - 1]
+                amax(first[i0:i1, :span, None] + rest[:, ell - 2::-1][:, :span],
+                     axis=1, out=out)
+                for k in range(span, ell - 1, span):
+                    np.maximum(out, amax(first[i0:i1, k:k + span, None]
+                                         + rest[:, ell - 2 - k::-1][:, :span], axis=1),
+                               out=out)
+
+        sup = np.maximum(sup[:cnt], v[ell - 1:])
+        rows[:, 0] = sup
+        l1 = np.array([add_reduce(v[i:i + ell]) for i in range(cnt)])
+        kind_band[:cnt, ell - 1] = part_count[_scan_length(rows, l1, wv[:ell])]
+        N_band[:cnt, ell - 1] = rows[:, 0]
+        for (j0, j1), plane in zip(groups[live:], S[live:]):
+            a = max(j0, ell - 1)
+            plane[a - j0:, ell - 1, :ell] = rows[a - ell + 1:j1 - ell + 2]
 
     return IntervalTables(system, x.indices, signed, v, N, S, kind)
+
+
+def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Norm and winning part count of every interval of one length.
+
+    ``rows[i]`` holds sup, then the best sums over n = 2.. parts, of the
+    interval at start i; ``l1[i]`` is the np.sum of its entries and ``w``
+    the divisors (1, then w(n)).  The result is bitwise that of a scan
+    over ascending n that stops at the first n whose bound l1 / w(n) falls
+    below the incumbent (the running max of sup and the candidates before
+    n) and replaces the incumbent only on strict improvement: candidates
+    from the stop on are dropped, and the first maximum of sup and the
+    rest wins.  Writes the norms into ``rows[:, 0]`` and returns the
+    winning columns: 0 for sup, n - 1 for n parts.
+    """
+    vals = rows / w
+    dropped = np.logical_or.accumulate(
+        l1[:, None] / w[1:] < np.maximum.accumulate(vals, axis=1)[:, :-1], axis=1)
+    vals[:, 1:][dropped] = -np.inf
+    arg = vals.argmax(axis=1)
+    rows[:, 0] = vals[np.arange(len(arg)), arg]
+    return arg
 
 
 def _witness_from_tables(t: IntervalTables, i: int, j: int) -> WitnessTree:
@@ -278,7 +352,7 @@ def _witness_from_tables(t: IntervalTables, i: int, j: int) -> WitnessTree:
     cur, rem = i, n
     while rem > 1:
         hi = j - rem + 1
-        arr = t.N[cur, cur:hi + 1] + t.S[j][cur + 1:hi + 2, rem - 1]
+        arr = [t.N[cur, m] + t.sums(m + 1, j)[rem - 2] for m in range(cur, hi + 1)]
         m = cur + int(np.argmax(arr))
         children.append(_witness_from_tables(t, cur, m))
         cur, rem = m + 1, rem - 1
@@ -312,7 +386,6 @@ class _ConstTables:
         Tl = np.full((2, 2), -np.inf)
         Tl[1, 1] = 1.0
         self.T = Tl.T
-        self._lock = threading.RLock()
 
     def _grow(self, L: int) -> None:
         cap = self.T.shape[0] - 1
@@ -326,28 +399,27 @@ class _ConstTables:
         self.T, self.nu = Tl.T, nu
 
     def ensure(self, L: int) -> None:
-        with self._lock:
-            if L <= self.filled:
-                return
-            self._grow(L)
-            nu, Tl = self.nu, self.T.T
-            l0 = self.system.min_parts
-            W = self.system.weight
-            wv = np.array([W(n if n >= l0 else l0) for n in range(L + 1)])
-            for ln in range(self.filled + 1, L + 1):
-                # first piece of length p = 1..ln-1, the rest in n - 1 parts;
-                # the row starts at -inf, and chunks of CONST_CHUNK
-                # first-piece lengths bound the temporary
-                sums = Tl[ln, 2:ln + 1]
-                for p0 in range(1, ln, CONST_CHUNK):
-                    p1 = min(p0 + CONST_CHUNK, ln)
-                    np.maximum(sums, np.max(nu[p0:p1, None]
-                                            + Tl[ln - p0:ln - p1:-1, 1:ln], axis=0),
-                               out=sums)
-                best = max(1.0, float(np.max(sums / wv[2:ln + 1])))
-                nu[ln] = best
-                Tl[ln, 1] = best
-            self.filled = L
+        if L <= self.filled:
+            return
+        self._grow(L)
+        nu, Tl = self.nu, self.T.T
+        l0 = self.system.min_parts
+        W = self.system.weight
+        wv = np.array([W(n if n >= l0 else l0) for n in range(L + 1)])
+        for ln in range(self.filled + 1, L + 1):
+            # first piece of length p = 1..ln-1, the rest in n - 1 parts;
+            # the row starts at -inf, and chunks of CONST_CHUNK
+            # first-piece lengths bound the temporary
+            sums = Tl[ln, 2:ln + 1]
+            for p0 in range(1, ln, CONST_CHUNK):
+                p1 = min(p0 + CONST_CHUNK, ln)
+                np.maximum(sums, np.max(nu[p0:p1, None]
+                                        + Tl[ln - p0:ln - p1:-1, 1:ln], axis=0),
+                           out=sums)
+            best = max(1.0, float(np.max(sums / wv[2:ln + 1])))
+            nu[ln] = best
+            Tl[ln, 1] = best
+        self.filled = L
 
     def norm_unit(self, L: int) -> float:
         self.ensure(L)
@@ -398,16 +470,14 @@ class _ConstTables:
 
 
 _CONST_TABLES: dict[NormSystem, _ConstTables] = {}
-_CONST_LOCK = threading.Lock()
 
 
 def _const_tables(system: NormSystem) -> _ConstTables:
-    with _CONST_LOCK:
-        tab = _CONST_TABLES.get(system)
-        if tab is None:
-            tab = _ConstTables(system)
-            _CONST_TABLES[system] = tab
-        return tab
+    tab = _CONST_TABLES.get(system)
+    if tab is None:
+        tab = _ConstTables(system)
+        _CONST_TABLES[system] = tab
+    return tab
 
 
 def _const_guard(L: int, guard: int) -> None:
@@ -469,11 +539,17 @@ def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def _character_scan(value: float, linf: float, layer_at: Callable[[int], float],
-                    lo: int, hi: int, tol: float) -> tuple[float, bool]:
+def _layer(c: float, sums: np.ndarray, ell: int, system: NormSystem) -> float:
+    """Layer ell of c times the vector whose ``layer_sums`` are ``sums``."""
+    return c * float(sums[min(ell, len(sums)) - 1]) / system.weight(ell)
+
+
+def _character_scan(value: float, linf: float, c: float, sums: np.ndarray,
+                    system: NormSystem, lo: int, hi: int,
+                    tol: float) -> tuple[float, bool]:
     attained = None
     for ell in range(lo, hi + 1):
-        if _close(value, layer_at(ell), tol):
+        if _close(value, _layer(c, sums, ell, system), tol):
             attained = ell
             break
     linf_hit = _close(value, linf, tol)
@@ -492,6 +568,9 @@ def norm(x: FinVector, system: NormSystem = F_SYSTEM, *,
     ell (within tolerance); infinity when only the sup norm attains it.
     When both a finite layer and the sup norm attain the value, the
     finite layer is reported and the tie flagged.
+
+    The witness is evaluated on x before returning; a value it misses by
+    more than ``WITNESS_CHECK_RTOL`` relative raises ``EngineCheckError``.
     """
     L = x.support_size()
     if L == 0:
@@ -500,29 +579,26 @@ def norm(x: FinVector, system: NormSystem = F_SYSTEM, *,
         raise SupportGuardError(f"support size {L} exceeds guard {guard}")
 
     vabs = tuple(abs(v) for v in x.values)
-    lo_char = max(2, system.min_parts)
-
     if L >= CONSTANT_ROUTE_MIN and _is_bitwise_constant(vabs):
         tab = _const_tables(system)
         _const_guard(L, guard)
-        c = vabs[0]
+        c = linf = vabs[0]
         value = c * tab.norm_unit(L)
         witness = tab.witness(x.indices)
         sums = tab.layer_sums(L)
+    else:
+        tables = build_tables(x, system, guard=guard)
+        c, linf = 1.0, float(np.max(tables.vabs))
+        value = tables.value()
+        witness = _witness_from_tables(tables, 0, L - 1)
+        sums = tables.layer_sums()
 
-        def layer_at(ell: int) -> float:
-            return c * float(sums[min(ell, L) - 1]) / system.weight(ell)
-
-        char, tie = _character_scan(value, c, layer_at, lo_char, L, tol)
-        if memo is not None:
-            memo.put(system, vabs, value)
-        return NormResult(value, witness, char, tie, system.name)
-
-    tables = build_tables(x, system, guard=guard)
-    value = tables.value()
-    witness = _witness_from_tables(tables, 0, L - 1)
-    char, tie = _character_scan(value, float(np.max(tables.vabs)),
-                                tables.layer_value, lo_char, L, tol)
+    check = witness.evaluate(x)
+    if not abs(check - value) <= WITNESS_CHECK_RTOL * value:
+        raise EngineCheckError(
+            f"witness evaluates to {check!r} but the norm is {value!r}")
+    char, tie = _character_scan(value, linf, c, sums, system,
+                                max(2, system.min_parts), L, tol)
     if memo is not None:
         memo.put(system, vabs, value)
     return NormResult(value, witness, char, tie, system.name)
@@ -594,20 +670,16 @@ def tail_layer_norm(x: FinVector, r: float, system: NormSystem = F_SYSTEM, *,
     L = x.support_size()
     if L == 0:
         return 0.0
-    first = math.ceil(r)
-    last = max(first, L)
-    best = x.linf()
-    if L >= CONSTANT_ROUTE_MIN and _is_bitwise_constant(tuple(abs(v) for v in x.values)):
-        c = abs(x.values[0])
-        tab = _const_tables(system)
+    vabs = tuple(abs(v) for v in x.values)
+    if L >= CONSTANT_ROUTE_MIN and _is_bitwise_constant(vabs):
         _const_guard(L, guard)
-        sums = tab.layer_sums(L)
-        for ell in range(first, last + 1):
-            best = max(best, c * float(sums[min(ell, L) - 1]) / system.weight(ell))
-        return best
-    tables = build_tables(x, system, guard=guard)
-    for ell in range(first, last + 1):
-        best = max(best, tables.layer_value(ell))
+        c, sums = vabs[0], _const_tables(system).layer_sums(L)
+    else:   # c = 1 scales the interval route's sums exactly
+        c, sums = 1.0, build_tables(x, system, guard=guard).layer_sums()
+    first = math.ceil(r)
+    best = x.linf()
+    for ell in range(first, max(first, L) + 1):
+        best = max(best, _layer(c, sums, ell, system))
     return best
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 
@@ -123,11 +125,10 @@ class FinVector:
         return not self.coords
 
     def __getitem__(self, index: int) -> float:
-        for i, v in self.coords:
-            if i == index:
-                return v
-            if i > index:
-                break
+        """Coefficient at ``index`` (0.0 off the support), by bisection."""
+        k = bisect_left(self.coords, index, key=itemgetter(0))
+        if k < len(self.coords) and self.coords[k][0] == index:
+            return self.coords[k][1]
         return 0.0
 
     def __bool__(self) -> bool:

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from implicitnorm import (DomainError, F_SYSTEM, G_SYSTEM, FinVector, MemoTable,
-                          SupportGuardError, best_sum, brute_norm, build_tables,
-                          character, constant_best_sum, constant_vector_norm,
-                          engine, layer_norm, log2_affine_system, norm,
-                          norm_value, norming_functional, tail_layer_norm)
+from implicitnorm import (DomainError, EngineCheckError, F_SYSTEM, G_SYSTEM,
+                          FinVector, MemoTable, SupportGuardError, WitnessTree,
+                          best_sum, brute_norm, build_tables, character,
+                          constant_best_sum, constant_vector_norm, engine,
+                          layer_norm, log2_affine_system, norm, norm_value,
+                          norming_functional, tail_layer_norm)
 from implicitnorm.engine import dp_table_bytes
 from conftest import random_vector
 
@@ -350,6 +351,29 @@ class TestWitnessAndFunctional:
         assert phi2 == phi and phi2.apply(x) == phi.apply(x)
 
 
+class TestSelfCheck:
+    """``norm`` evaluates its witness on x, so a kernel whose witness does
+    not attain its value fails in the call itself."""
+
+    def test_wrong_interval_witness_raises(self, monkeypatch):
+        x = FinVector.from_dense([1.0, 0.5, 0.75])
+        monkeypatch.setattr(engine, "_witness_from_tables",
+                            lambda t, i, j: WitnessTree.leaf(t.indices[1]))
+        with pytest.raises(EngineCheckError):
+            norm(x, memo=None)
+
+    def test_wrong_flat_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(engine._ConstTables, "witness",
+                            lambda self, indices: WitnessTree.leaf(indices[0]))
+        with pytest.raises(EngineCheckError):
+            norm(ones(70), memo=None)
+
+    def test_flat_witnesses_pass_to_1016(self):
+        for system in (F_SYSTEM, G_SYSTEM):
+            for L in (65, 300, 1016):
+                norm(ones(L).scale(0.3), system, memo=None)
+
+
 class TestNormAxioms:
     @given(small_vectors)
     @settings(max_examples=50, deadline=None)
@@ -464,6 +488,16 @@ def _loop_reference(x, system):
     return N, S, kind
 
 
+def _assert_matches_loop_reference(x, system):
+    N, S, kind = _loop_reference(x, system)
+    t = build_tables(x, system)
+    assert np.array_equal(t.N, N) and np.array_equal(t.kind, kind)
+    for j in range(t.size):
+        for i in range(j + 1):
+            assert np.array_equal(t.sums(i, j), S[i, 1:j - i + 2, j])
+    return t
+
+
 class TestVectorizedKernel:
     @given(st.lists(st.floats(-2, 2, allow_nan=False).filter(lambda v: abs(v) > 1e-3),
                     min_size=1, max_size=14),
@@ -472,12 +506,31 @@ class TestVectorizedKernel:
     def test_matches_loop_reference_bitwise(self, vals, rounded, system):
         if rounded:  # plant exact ties between candidate splits
             vals = [round(v, 1) or 0.5 for v in vals]
-        x = FinVector.from_dense(vals)
-        N, S, kind = _loop_reference(x, system)
-        t = build_tables(x, system)
-        assert np.array_equal(t.N, N) and np.array_equal(t.kind, kind)
-        for j in range(len(vals)):
-            assert np.array_equal(t.S[j], S[:j + 1, :j + 2, j])
+        _assert_matches_loop_reference(FinVector.from_dense(vals), system)
+
+    @pytest.mark.parametrize("system", [F_SYSTEM, G_SYSTEM], ids=["f", "g"])
+    @pytest.mark.parametrize("L", [9, 17, 33, 70])
+    def test_matches_loop_reference_across_groups(self, L, system):
+        # supports past several S groups and past the batch size, with
+        # rounded coefficients planting exact ties between splits
+        _assert_matches_loop_reference(_golden_vector(L, 700 + L, True), system)
+
+    def test_early_exit_is_reproduced(self):
+        # Found by search: the right-nested all-singleton sum of this
+        # support exceeds np.sum by two ulps, so the 10-part candidate
+        # beats the 9-part one although its bound l1 / w(10) is below it.
+        # The reference scan stops at n = 10 and keeps 9 parts; a kernel
+        # without the early exit would pick 10.
+        vals = [1.1731580318739827, 0.4379172840559376, 1.1766845590239043,
+                1.1766845590239043, 1.1743335409239566, 1.1766845590239043,
+                1.1731580318739827, 1.1755090499739305, 1.1755090499739305,
+                1.1778600680738782]
+        t = _assert_matches_loop_reference(FinVector.from_dense(vals), F_SYSTEM)
+        singletons, nine = t.sums(0, 9)[9], t.sums(0, 9)[8]
+        assert singletons > np.sum(vals)
+        assert singletons / F_SYSTEM.weight(10) > nine / F_SYSTEM.weight(9) \
+            > np.sum(vals) / F_SYSTEM.weight(10)
+        assert t.kind[0, 9] == 9 and t.N[0, 9] == nine / F_SYSTEM.weight(9)
 
 
 class TestGoldenDigests:
@@ -514,6 +567,10 @@ class TestGoldenDigests:
 
 
 class TestMemoryGuard:
+    # tracemalloc peak of build_tables on _golden_vector(128, 5) under F
+    # with the per-right-end S tables the grouped layout replaced
+    PER_RIGHT_END_PEAK = 6266968
+
     def test_default_cap_admits_735(self):
         assert dp_table_bytes(735) <= engine.DP_MEMORY_LIMIT_BYTES < dp_table_bytes(736)
 
@@ -534,6 +591,17 @@ class TestMemoryGuard:
             tracemalloc.stop()
         # the N table alone would be 8 * 121^2 bytes, about 117 KB
         assert peak < 64 * 1024
+
+    def test_peak_no_higher_than_per_right_end_tables(self):
+        x = _golden_vector(128, 5, False)
+        build_tables(x)         # first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            build_tables(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PER_RIGHT_END_PEAK
 
 
 class TestMemoAndDeterminism:
