@@ -20,6 +20,7 @@ from .engine import (
     EngineCheckError,
     F_SYSTEM,
     NormSystem,
+    _close,
     constant_best_sum,
     constant_vector_norm,
     norm,
@@ -30,10 +31,6 @@ from .vectors import FinVector, Functional, Interval
 
 class NotEquivalentOnFamilyError(DomainError):
     """A coefficient tuple sends one sequence to zero and the other not."""
-
-
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 # ---------------------------------------------------------------------------

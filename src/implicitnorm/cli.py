@@ -255,7 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="implicitnorm", allow_abbrev=False)
     p.add_argument("--config", help="JSON config file (or set $" + CONFIG_ENV + ")")
     p.add_argument("--tolerance", type=float)
-    p.add_argument("--guard", type=int, help="support-size guard")
+    p.add_argument("--guard", type=int,
+                   help=f"support-size guard (default {engine.DEFAULT_SUPPORT_GUARD}), "
+                        "applied on both routes before any memo hit; the interval "
+                        "route also refuses supports above 735 (1 GiB of DP "
+                        "tables) whatever the guard; exit 3 names the limit that "
+                        "refused")
     p.add_argument("--parallelism", type=int)
     p.add_argument("--record", help="write a run record to this path")
     p.add_argument("--csv", action="store_true", help="CSV output where available")

@@ -31,8 +31,11 @@ views.  S keeps the planes of S_GROUP consecutive right ends j in one
 array indexed [j, length, part count], sized for the group's last right
 end, so a batch of starts reads one plain slice.  The tables take about
 8 L^3 / 3 bytes, so the 1 GiB cap admits supports up to 735.
-Bitwise-constant vectors take a composition DP over lengths instead,
-which reaches the support guard (4096).
+``_plan`` is the one route decision of every reader: bitwise-constant
+vectors take a composition DP over lengths instead, which reaches the
+support guard (4096); both routes' tables answer ``value()``,
+``layer_sums()`` and ``witness()``.  ``_plan`` runs the one guard and
+memory check, ``_check_resources``, before any memo read.
 
 The set-level supremum is kept alive independently in ``brute_norm``,
 which enumerates all gapped successive-set families on small supports;
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -234,6 +237,9 @@ class IntervalTables:
     def best_sum(self, k: int) -> float:
         return float(self.layer_sums()[min(k, self.size) - 1])
 
+    def witness(self) -> WitnessTree:
+        return _witness_from_tables(self, 0, self.size - 1)
+
 
 def dp_table_bytes(L: int) -> int:
     """Bytes of the N (float64), kind (int16) and grouped S tables at
@@ -244,18 +250,25 @@ def dp_table_bytes(L: int) -> int:
     return 8 * cells + 10 * L * L
 
 
+def _check_resources(L: int, guard: int, flat: bool) -> None:
+    """The one resource check of both routes: the support guard, then the
+    route's table memory against ``DP_MEMORY_LIMIT_BYTES``, estimated
+    without allocating.  The message names the limit that refused."""
+    if L > guard:
+        raise SupportGuardError(f"support size {L} exceeds guard {guard}")
+    need, what = (8 * (L + 1) ** 2, "composition") if flat else (dp_table_bytes(L), "DP")
+    if need > DP_MEMORY_LIMIT_BYTES:
+        raise SupportGuardError(
+            f"support size {L} needs ~{need >> 20} MiB of {what} tables "
+            f"(limit {DP_MEMORY_LIMIT_BYTES >> 20} MiB)")
+
+
 def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
                  guard: int = DEFAULT_SUPPORT_GUARD) -> IntervalTables:
     L = x.support_size()
     if L == 0:
         raise DomainError("zero vector has no DP tables")
-    if L > guard:
-        raise SupportGuardError(f"support size {L} exceeds guard {guard}")
-    need = dp_table_bytes(L)
-    if need > DP_MEMORY_LIMIT_BYTES:
-        raise SupportGuardError(
-            f"support size {L} needs ~{need >> 20} MiB of DP tables "
-            f"(limit {DP_MEMORY_LIMIT_BYTES >> 20} MiB)")
+    _check_resources(L, guard, flat=False)
 
     signed = np.array(x.values, dtype=float)
     v = np.abs(signed)
@@ -421,15 +434,6 @@ class _ConstTables:
             Tl[ln, 1] = best
         self.filled = L
 
-    def norm_unit(self, L: int) -> float:
-        self.ensure(L)
-        return float(self.nu[L])
-
-    def best_sum_unit(self, L: int, k: int) -> float:
-        self.ensure(L)
-        top = min(k, L)
-        return float(np.max(self.T[1:top + 1, L]))
-
     def layer_sums(self, L: int) -> np.ndarray:
         """Running max of the partition sums: entry k (1-based) is the
         best sum over at most k parts for the unit constant vector."""
@@ -472,21 +476,23 @@ class _ConstTables:
 _CONST_TABLES: dict[NormSystem, _ConstTables] = {}
 
 
-def _const_tables(system: NormSystem) -> _ConstTables:
-    tab = _CONST_TABLES.get(system)
-    if tab is None:
-        tab = _ConstTables(system)
-        _CONST_TABLES[system] = tab
-    return tab
+class _FlatTables:
+    """The unit flat vector on ``indices`` read from its system's shared
+    composition tables, through the reader surface of ``IntervalTables``."""
 
+    def __init__(self, system: NormSystem, indices: Sequence[int]):
+        self.tab = _CONST_TABLES.get(system) or _CONST_TABLES.setdefault(
+            system, _ConstTables(system))
+        self.indices = indices
 
-def _const_guard(L: int, guard: int) -> None:
-    if L > guard:
-        raise SupportGuardError(f"constant length {L} exceeds guard {guard}")
-    need = 8 * (L + 1) * (L + 1)
-    if need > DP_MEMORY_LIMIT_BYTES:
-        raise SupportGuardError(
-            f"constant length {L} needs ~{need >> 20} MiB of composition tables")
+    def value(self) -> float:     # T[1, len] holds nu[len]
+        return float(self.layer_sums()[0])
+
+    def layer_sums(self) -> np.ndarray:
+        return self.tab.layer_sums(len(self.indices))
+
+    def witness(self) -> WitnessTree:
+        return self.tab.witness(self.indices)
 
 
 def constant_vector_norm(system: NormSystem, length: int, coefficient: float, *,
@@ -494,8 +500,8 @@ def constant_vector_norm(system: NormSystem, length: int, coefficient: float, *,
     """Norm of coefficient * (e_1 + ... + e_length) via the composition DP."""
     if length < 1:
         raise DomainError("length must be >= 1")
-    _const_guard(length, guard)
-    return abs(coefficient) * _const_tables(system).norm_unit(length)
+    _check_resources(length, guard, flat=True)
+    return abs(coefficient) * _FlatTables(system, range(length)).value()
 
 
 def constant_best_sum(system: NormSystem, length: int, coefficient: float, k: int, *,
@@ -503,13 +509,28 @@ def constant_best_sum(system: NormSystem, length: int, coefficient: float, k: in
     """Best partition sum (at most k parts) for a constant vector."""
     if length < 1 or k < 1:
         raise DomainError("length and k must be >= 1")
-    _const_guard(length, guard)
-    return abs(coefficient) * _const_tables(system).best_sum_unit(length, k)
+    _check_resources(length, guard, flat=True)
+    sums = _FlatTables(system, range(length)).layer_sums()
+    return abs(coefficient) * float(sums[min(k, length) - 1])
 
 
-def _is_bitwise_constant(vabs: tuple[float, ...]) -> bool:
-    first = vabs[0]
-    return all(v == first for v in vabs)
+def _plan(x: FinVector, system: NormSystem, guard: int
+          ) -> tuple[tuple[float, ...], float, Callable[[], IntervalTables | _FlatTables]]:
+    """The one route decision for a nonzero x: its absolute coefficients,
+    a scale c and a function that builds the route's tables, whose
+    values and sums times c are those of x.
+
+    At least CONSTANT_ROUTE_MIN bitwise-equal coefficients read the
+    shared composition tables at unit scale; every other vector gets its
+    own interval DP at c = 1, which scales exactly.  The resource check
+    runs here, so it refuses before the caller reads the memo."""
+    vabs = tuple(abs(v) for v in x.values)
+    L = len(vabs)
+    flat = L >= CONSTANT_ROUTE_MIN and vabs.count(vabs[0]) == L
+    _check_resources(L, guard, flat)
+    if flat:
+        return vabs, vabs[0], lambda: _FlatTables(system, x.indices)
+    return vabs, 1.0, lambda: build_tables(x, system, guard=guard)
 
 
 # ---------------------------------------------------------------------------
@@ -571,33 +592,22 @@ def norm(x: FinVector, system: NormSystem = F_SYSTEM, *,
 
     The witness is evaluated on x before returning; a value it misses by
     more than ``WITNESS_CHECK_RTOL`` relative raises ``EngineCheckError``.
+
+    The value is written to ``memo`` but the memo is never read here: an
+    entry holds a value only, not the witness and sums this result needs.
     """
     L = x.support_size()
     if L == 0:
         return NormResult(0.0, None, None, False, system.name)
-    if L > guard:
-        raise SupportGuardError(f"support size {L} exceeds guard {guard}")
-
-    vabs = tuple(abs(v) for v in x.values)
-    if L >= CONSTANT_ROUTE_MIN and _is_bitwise_constant(vabs):
-        tab = _const_tables(system)
-        _const_guard(L, guard)
-        c = linf = vabs[0]
-        value = c * tab.norm_unit(L)
-        witness = tab.witness(x.indices)
-        sums = tab.layer_sums(L)
-    else:
-        tables = build_tables(x, system, guard=guard)
-        c, linf = 1.0, float(np.max(tables.vabs))
-        value = tables.value()
-        witness = _witness_from_tables(tables, 0, L - 1)
-        sums = tables.layer_sums()
-
+    vabs, c, build = _plan(x, system, guard)
+    tables = build()
+    value = c * tables.value()
+    witness = tables.witness()
     check = witness.evaluate(x)
     if not abs(check - value) <= WITNESS_CHECK_RTOL * value:
         raise EngineCheckError(
             f"witness evaluates to {check!r} but the norm is {value!r}")
-    char, tie = _character_scan(value, linf, c, sums, system,
+    char, tie = _character_scan(value, max(vabs), c, tables.layer_sums(), system,
                                 max(2, system.min_parts), L, tol)
     if memo is not None:
         memo.put(system, vabs, value)
@@ -607,22 +617,16 @@ def norm(x: FinVector, system: NormSystem = F_SYSTEM, *,
 def norm_value(x: FinVector, system: NormSystem = F_SYSTEM, *,
                guard: int = DEFAULT_SUPPORT_GUARD,
                memo: Optional[MemoTable] = GLOBAL_MEMO) -> float:
-    """Norm value only, with memoized and constant fast paths."""
-    L = x.support_size()
-    if L == 0:
+    """Norm value only, memoized; the resource check runs before the
+    memo is read, so a guard refuses whatever the memo holds."""
+    if x.support_size() == 0:
         return 0.0
-    vabs = tuple(abs(v) for v in x.values)
+    vabs, c, build = _plan(x, system, guard)
     if memo is not None:
         hit = memo.get(system, vabs)
         if hit is not None:
             return hit
-    if L > guard:
-        raise SupportGuardError(f"support size {L} exceeds guard {guard}")
-    if L >= CONSTANT_ROUTE_MIN and _is_bitwise_constant(vabs):
-        _const_guard(L, guard)
-        value = vabs[0] * _const_tables(system).norm_unit(L)
-    else:
-        value = build_tables(x, system, guard=guard).value()
+    value = c * build().value()
     if memo is not None:
         memo.put(system, vabs, value)
     return value
@@ -638,10 +642,8 @@ def best_sum(x: FinVector, k: int, system: NormSystem = F_SYSTEM, *,
     L = x.support_size()
     if L == 0:
         return 0.0
-    vabs = tuple(abs(v) for v in x.values)
-    if L >= CONSTANT_ROUTE_MIN and _is_bitwise_constant(vabs):
-        return constant_best_sum(system, L, vabs[0], k, guard=guard)
-    return build_tables(x, system, guard=guard).best_sum(k)
+    _, c, build = _plan(x, system, guard)
+    return c * float(build().layer_sums()[min(k, L) - 1])
 
 
 def layer_norm(x: FinVector, ell: int, system: NormSystem = F_SYSTEM, *,
@@ -670,12 +672,8 @@ def tail_layer_norm(x: FinVector, r: float, system: NormSystem = F_SYSTEM, *,
     L = x.support_size()
     if L == 0:
         return 0.0
-    vabs = tuple(abs(v) for v in x.values)
-    if L >= CONSTANT_ROUTE_MIN and _is_bitwise_constant(vabs):
-        _const_guard(L, guard)
-        c, sums = vabs[0], _const_tables(system).layer_sums(L)
-    else:   # c = 1 scales the interval route's sums exactly
-        c, sums = 1.0, build_tables(x, system, guard=guard).layer_sums()
+    _, c, build = _plan(x, system, guard)
+    sums = build().layer_sums()
     first = math.ceil(r)
     best = x.linf()
     for ell in range(first, max(first, L) + 1):

@@ -48,9 +48,45 @@ class TestNormExamples:
         r = norm(FinVector.zero())
         assert r.value == 0.0 and r.witness is None and r.character is None
 
-    def test_guard(self):
+    # every reader on x at guard g; the constant_* readers take the flat
+    # x's length and coefficient
+    READERS = {
+        "norm": lambda x, g: norm(x, guard=g),
+        "norm_value": lambda x, g: norm_value(x, guard=g),
+        "best_sum": lambda x, g: best_sum(x, 2, guard=g),
+        "layer_norm": lambda x, g: layer_norm(x, 2, guard=g),
+        "tail_layer_norm": lambda x, g: tail_layer_norm(x, 2, guard=g),
+        "character": lambda x, g: character(x, guard=g),
+        "norming_functional": lambda x, g: norming_functional(x, guard=g),
+        "constant_vector_norm": lambda x, g: constant_vector_norm(
+            F_SYSTEM, x.support_size(), x.values[0], guard=g),
+        "constant_best_sum": lambda x, g: constant_best_sum(
+            F_SYSTEM, x.support_size(), x.values[0], 2, guard=g),
+    }
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_guard(self, reader):
+        # one refusal text whichever reader asks and whichever route the
+        # vector takes: interval (5), flat (70) or flat past the memory cap
+        call = self.READERS[reader]
+        for L in (5, 70):
+            with pytest.raises(SupportGuardError,
+                               match=rf"^support size {L} exceeds guard {L - 1}$"):
+                call(ones(L), L - 1)
+        with pytest.raises(SupportGuardError, match=r"^support size 12000 needs "
+                           r"~\d+ MiB of composition tables \(limit 1024 MiB\)$"):
+            call(ones(12000), 20000)
+        if not reader.startswith("constant"):
+            x = FinVector.from_dense(np.linspace(0.5, 1.0, 736))
+            with pytest.raises(SupportGuardError, match=r"^support size 736 needs "
+                               r"~\d+ MiB of DP tables \(limit 1024 MiB\)$"):
+                call(x, engine.DEFAULT_SUPPORT_GUARD)
+
+    def test_guard_applies_whatever_the_memo_holds(self):
+        x = FinVector.from_dense([1, .5, .25, .3, .2])
+        norm_value(x)
         with pytest.raises(SupportGuardError):
-            norm(ones(5), guard=4)
+            norm_value(x, guard=4)
 
 
 class TestBestSumAndLayers:
@@ -311,6 +347,16 @@ class TestWitnessAndFunctional:
             for _ in range(8):
                 y = random_vector(rng, max_support=7)
                 assert phi.apply(y) <= norm_value(y, G_SYSTEM) + 1e-9
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([F_SYSTEM, G_SYSTEM]))
+    @settings(max_examples=25, deadline=None)
+    def test_dual_ball_membership_at_real_sizes(self, seed, system):
+        # supports of 1 to 64 drawn uniformly, overlapping in part
+        rng = np.random.default_rng(seed)
+        x, y = random_vector(rng, max_support=64), random_vector(rng, max_support=64)
+        phi = norming_functional(x, system)
+        assert phi.apply(x) == pytest.approx(norm(x, system).value, rel=1e-12)
+        assert phi.apply(y) <= norm_value(y, system) * (1 + 1e-12)
 
     def _validate_tree(self, tree, system, lo=0):
         """Structural invariants: split weights come from the system at a
