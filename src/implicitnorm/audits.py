@@ -24,6 +24,8 @@ from .engine import (
     EngineCheckError,
     F_SYSTEM,
     NormSystem,
+    _routes_flat,
+    _tail_layer,
     build_tables,
     tail_layer_norm,
 )
@@ -405,8 +407,15 @@ def refinement_margin(x: FinVector, r: float, d: float, *,
     lo = max(2, system.min_parts)
     if r < lo:
         raise DomainError(f"r must be >= {lo}")
-    lhs = tail_layer_norm(x, r, system, guard=guard)
+    # the interval tables first: their resource check refuses before any
+    # route fills tables, and a non-flat x reads lhs from them (at c = 1,
+    # bitwise what tail_layer_norm returns); a flat x takes its route's value
+    tables = build_tables(x, system, guard=guard)
     linf = x.linf()
+    if _routes_flat(tuple(abs(v) for v in x.values)):
+        lhs = tail_layer_norm(x, r, system, guard=guard)
+    else:
+        lhs = _tail_layer(linf, 1.0, tables.layer_sums(), r, system)
     if abs(lhs - linf) <= tol * max(1.0, lhs):
         raise DomainError("hypothesis violated: layered norm attained by the sup norm")
     wr = float(system.weight_fn(r))
@@ -418,7 +427,6 @@ def refinement_margin(x: FinVector, r: float, d: float, *,
         raise DomainError("escalated threshold r**w(r) out of representable range")
     r_next = 2.0 ** lam_next
 
-    tables = build_tables(x, system, guard=guard)
     L = tables.size
     first_next = math.ceil(r_next)
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from . import engine
 from .engine import (
     DEFAULT_SUPPORT_GUARD,
     DEFAULT_TOLERANCE,
@@ -21,6 +22,7 @@ from .engine import (
     F_SYSTEM,
     NormSystem,
     _close,
+    _routes_flat,
     constant_best_sum,
     constant_vector_norm,
     norm,
@@ -128,10 +130,19 @@ def greedy_split(y: FinVector, eps: float, system: NormSystem = F_SYSTEM, *,
                  guard: int = DEFAULT_SUPPORT_GUARD) -> SplitProfile:
     """Split y into maximal successive pieces of norm <= eps.
 
-    Each piece is the longest prefix of what remains whose norm stays
-    within eps (values equal to eps within tolerance are included).  A
-    single coordinate already above eps makes the decomposition
-    impossible and is refused.
+    Each piece grows from the start of what remains one coordinate at a
+    time and stops before the first right end whose norm exceeds eps
+    (values equal to eps within tolerance are included).  A single
+    coordinate already above eps makes the decomposition impossible and
+    is refused.
+
+    One interval DP table over a window of y serves successive pieces:
+    its N[a, b] is bitwise the norm of segment a..b.  A read past its
+    right end rebuilds it from the current piece start, twice as wide
+    when the segment has outgrown it.  Segments the engine routes flat
+    (``_routes_flat``) read the shared composition tables instead, as
+    ``norm_value`` does, and skip the window.  Segment norms are not
+    written to the memo.
     """
     if eps <= 0.0:
         raise DomainError("eps must be positive")
@@ -141,50 +152,34 @@ def greedy_split(y: FinVector, eps: float, system: NormSystem = F_SYSTEM, *,
         raise DomainError(f"coordinate exceeds eps: |{y.linf()}| > {eps}")
 
     coords = y.coords
+    vabs = tuple(abs(v) for _, v in coords)
     L = len(coords)
+    w0, width, window = 0, 0, None     # window[a - w0, b - w0] = N of a..b
 
     def seg(a: int, b: int) -> FinVector:
         return FinVector(coords[a:b + 1])
 
-    def fits(a: int, b: int) -> tuple[bool, float]:
-        nv = norm_value(seg(a, b), system, guard=guard)
-        return (nv <= eps or _close(nv, eps, tol)), nv
+    def seg_norm(a: int, b: int) -> float:
+        nonlocal w0, width, window
+        if _routes_flat(vabs[a:b + 1]):
+            return constant_vector_norm(system, b - a + 1, vabs[a], guard=guard)
+        if b >= w0 + width:
+            if b - a >= width:
+                width = max(2 * width, b - a + 1)
+            w0, width = a, min(width, L - a)
+            window = engine.build_tables(seg(a, a + width - 1), system, guard=guard).N
+        return float(window[a - w0, b - w0])
 
     pieces: list[FinVector] = []
     norms: list[float] = []
     p = 0
     while p < L:
-        # gallop out from p (prefix norms grow with the endpoint), then
-        # bisect inside the first failing window; pieces are usually much
-        # shorter than the remaining tail, so this avoids norming the tail
-        lo, nv = p, fits(p, p)[1]
-        step = 1
-        hi = None
-        while hi is None:
-            probe = lo + step
-            if probe >= L:
-                ok, val = fits(p, L - 1)
-                if ok:
-                    lo, nv = L - 1, val
-                    break
-                probe = L - 1
-                hi = probe
+        e, nv = p, seg_norm(p, p)
+        while e + 1 < L:
+            val = seg_norm(p, e + 1)
+            if val > eps and not _close(val, eps, tol):
                 break
-            ok, val = fits(p, probe)
-            if ok:
-                lo, nv = probe, val
-                step *= 2
-            else:
-                hi = probe
-        if hi is not None:
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                ok, val = fits(p, mid)
-                if ok:
-                    lo, nv = mid, val
-                else:
-                    hi = mid
-        e = lo
+            e, nv = e + 1, val
         pieces.append(seg(p, e))
         norms.append(nv)
         p = e + 1

@@ -50,6 +50,12 @@ class Config:
         return self
 
 
+# JSON types a config value may take, by the type of its field's default;
+# bools are refused everywhere although Python counts them as ints
+_CONFIG_TYPES = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+                 str: ((str,), "a string")}
+
+
 def _load_config(path: Optional[str]) -> Config:
     cfg = Config()
     path = path or os.environ.get(CONFIG_ENV)
@@ -58,10 +64,14 @@ def _load_config(path: Optional[str]) -> Config:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise DomainError("config file must hold a JSON object")
-        known = {f.name for f in fields(Config)}
+        known = {f.name: _CONFIG_TYPES[type(f.default)] for f in fields(Config)}
         for key, value in data.items():
             if key not in known:
                 raise DomainError(f"unknown config key {key!r}")
+            types, what = known[key]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise DomainError(f"config key {key!r} must be {what}, "
+                                  f"got {json.dumps(value)}")
             setattr(cfg, key, value)
     return cfg
 

@@ -35,7 +35,9 @@ end, so a batch of starts reads one plain slice.  The tables take about
 vectors take a composition DP over lengths instead, which reaches the
 support guard (4096); both routes' tables answer ``value()``,
 ``layer_sums()`` and ``witness()``.  ``_plan`` runs the one guard and
-memory check, ``_check_resources``, before any memo read.
+memory check, ``_check_resources``, before any memo read.  Its route
+rule, ``_routes_flat``, is also what ``greedy_split`` applies to the
+segments it would otherwise read from a shared window table.
 
 The set-level supremum is kept alive independently in ``brute_norm``,
 which enumerates all gapped successive-set families on small supports;
@@ -404,7 +406,9 @@ class _ConstTables:
         cap = self.T.shape[0] - 1
         if L <= cap:
             return
-        new_cap = max(L, 2 * cap)
+        # doubling amortizes growth, but never past the largest length
+        # whose table (8 (L + 1)^2 bytes) ``_check_resources`` admits
+        new_cap = max(L, min(2 * cap, math.isqrt(DP_MEMORY_LIMIT_BYTES // 8) - 1))
         Tl = np.full((new_cap + 1, new_cap + 1), -np.inf)
         Tl[: cap + 1, : cap + 1] = self.T.T
         nu = np.zeros(new_cap + 1)
@@ -514,6 +518,12 @@ def constant_best_sum(system: NormSystem, length: int, coefficient: float, k: in
     return abs(coefficient) * float(sums[min(k, length) - 1])
 
 
+def _routes_flat(vabs: tuple[float, ...]) -> bool:
+    """Whether absolute coefficients ``vabs`` take the composition route:
+    at least CONSTANT_ROUTE_MIN of them, all bitwise equal."""
+    return len(vabs) >= CONSTANT_ROUTE_MIN and vabs.count(vabs[0]) == len(vabs)
+
+
 def _plan(x: FinVector, system: NormSystem, guard: int
           ) -> tuple[tuple[float, ...], float, Callable[[], IntervalTables | _FlatTables]]:
     """The one route decision for a nonzero x: its absolute coefficients,
@@ -525,9 +535,8 @@ def _plan(x: FinVector, system: NormSystem, guard: int
     own interval DP at c = 1, which scales exactly.  The resource check
     runs here, so it refuses before the caller reads the memo."""
     vabs = tuple(abs(v) for v in x.values)
-    L = len(vabs)
-    flat = L >= CONSTANT_ROUTE_MIN and vabs.count(vabs[0]) == L
-    _check_resources(L, guard, flat)
+    flat = _routes_flat(vabs)
+    _check_resources(len(vabs), guard, flat)
     if flat:
         return vabs, vabs[0], lambda: _FlatTables(system, x.indices)
     return vabs, 1.0, lambda: build_tables(x, system, guard=guard)
@@ -673,10 +682,17 @@ def tail_layer_norm(x: FinVector, r: float, system: NormSystem = F_SYSTEM, *,
     if L == 0:
         return 0.0
     _, c, build = _plan(x, system, guard)
-    sums = build().layer_sums()
+    return _tail_layer(x.linf(), c, build().layer_sums(), r, system)
+
+
+def _tail_layer(linf: float, c: float, sums: np.ndarray, r: float,
+                system: NormSystem) -> float:
+    """Supremum of ``linf`` and the layers ell >= r of c times the vector
+    whose ``layer_sums`` are ``sums``, scanned up to its support size or
+    ceil(r), whichever is larger."""
     first = math.ceil(r)
-    best = x.linf()
-    for ell in range(first, max(first, L) + 1):
+    best = linf
+    for ell in range(first, max(first, len(sums)) + 1):
         best = max(best, _layer(c, sums, ell, system))
     return best
 

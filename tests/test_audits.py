@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from implicitnorm import (DomainError, FinVector, Tower, audit_power,
-                          audit_product_growth_printed, audit_root_power,
-                          audit_slack, audit_subadditivity, beta, beta_tilde,
-                          default_xi_grid, f_log2, find_min_constant, g_log2,
-                          gamma_factor, refinement_margin, tower_product)
+from implicitnorm import (DomainError, F_SYSTEM, FinVector, SupportGuardError,
+                          Tower, audit_power, audit_product_growth_printed,
+                          audit_root_power, audit_slack, audit_subadditivity,
+                          audits, beta, beta_tilde, default_xi_grid, engine,
+                          f_log2, find_min_constant, g_log2, gamma_factor,
+                          refinement_margin, tail_layer_norm, tower_product)
 
 
 class TestLogDomainWeights:
@@ -232,6 +233,28 @@ class TestRefinementMargin:
         # the layers at and beyond ceil(r) fall under the sup norm here
         with pytest.raises(DomainError, match="hypothesis"):
             refinement_margin(FinVector.from_dense([1.0, 1.0]), 3.0, 1.1)
+
+    def test_interval_tables_built_once(self, monkeypatch):
+        x = FinVector.from_dense([0.3, 1.0, -0.7, 0.9, 0.2])
+        calls = []
+        build_tables = engine.build_tables
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return build_tables(*args, **kwargs)
+        monkeypatch.setattr(engine, "build_tables", counting)
+        monkeypatch.setattr(audits, "build_tables", counting)
+        rep = refinement_margin(x, 2.0, 1.1)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert rep.lhs == tail_layer_norm(x, 2.0)
+
+    def test_oversized_flat_refused_before_composition_fill(self, monkeypatch):
+        monkeypatch.setattr(engine, "_CONST_TABLES", {})
+        with pytest.raises(SupportGuardError):
+            refinement_margin(FinVector.from_dense([1.0] * 800), 4.0, 1.0)
+        tab = engine._CONST_TABLES.get(F_SYSTEM)
+        assert tab is None or tab.filled < 800
 
     def test_gamma_domain_gate(self):
         with pytest.raises(DomainError, match="d\\^2"):

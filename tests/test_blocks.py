@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from implicitnorm import (BlockSequence, DomainError, FinVector,
-                          NotEquivalentOnFamilyError,
+from implicitnorm import (BlockSequence, DomainError, F_SYSTEM, FinVector,
+                          G_SYSTEM, NotEquivalentOnFamilyError, SplitProfile,
+                          engine, log2_affine_system,
                           average_split_experiment, build_projection,
                           domination_margin, equivalence_constant,
                           greedy_block_select, greedy_split, l1_average_block,
@@ -15,6 +17,33 @@ from implicitnorm.blocks import growth_index_repr
 from conftest import normalized, random_block_sequence, random_vector
 
 ones = lambda n: FinVector.from_dense([1.0] * n)
+
+
+def linear_split(y, eps, system):
+    """greedy_split by its definition: grow each piece while the next
+    right end keeps the norm within eps, every norm a fresh evaluation."""
+    coords, pieces, norms, p = y.coords, [], [], 0
+    while p < len(coords):
+        e, nv = p, norm_value(FinVector(coords[p:p + 1]), system, memo=None)
+        while e + 1 < len(coords):
+            val = norm_value(FinVector(coords[p:e + 2]), system, memo=None)
+            if val > eps and not engine._close(val, eps, engine.DEFAULT_TOLERANCE):
+                break
+            e, nv = e + 1, val
+        pieces.append(FinVector(coords[p:e + 1]))
+        norms.append(nv)
+        p = e + 1
+    return SplitProfile(tuple(pieces), tuple(norms), eps)
+
+
+def assert_split_is_linear_scan(y, eps, system=F_SYSTEM):
+    prof = greedy_split(y, eps, system)
+    assert prof.to_jsonable() == linear_split(y, eps, system).to_jsonable()
+    for piece, nv in zip(prof.pieces, prof.piece_norms):
+        assert nv == norm_value(piece, system, memo=None)
+
+
+AFFINE = log2_affine_system("affine", 2, 1.5, 0.75)
 
 
 class TestGreedySplit:
@@ -61,6 +90,44 @@ class TestGreedySplit:
     def test_bad_eps(self):
         with pytest.raises(DomainError):
             greedy_split(ones(2), 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(system=st.sampled_from([F_SYSTEM, G_SYSTEM, AFFINE]),
+           kind=st.sampled_from(["near_flat", "random", "quarter"]),
+           size=st.integers(1, 80), eps=st.sampled_from([1.0, 0.5, 0.25]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_linear_scan(self, system, kind, size, eps, seed):
+        rng = np.random.default_rng(seed)
+        vals = {"near_flat": 1.0 + rng.uniform(-0.1, 0.1, size),
+                "random": rng.uniform(-1.0, 1.0, size),
+                "quarter": rng.integers(1, 5, size) * 0.25}[kind]
+        x = FinVector.from_dense([float(v) for v in vals])
+        y = x.scale(min(1.0 / norm_value(x, system, memo=None), eps / x.linf()))
+        assert_split_is_linear_scan(y, eps, system)
+
+    @pytest.mark.parametrize("y,eps", [
+        (normalized(ones(8)), 0.5),           # criterion 09's boundary pairs
+        (normalized(ones(300)), 0.25),        # one window shift per piece
+        # flat-route reads up to 70 ones, then a read with the 0.5 that
+        # jumps past the window's right end
+        (FinVector.from_dense([1.0] * 70 + [0.5] + [1.0] * 90).scale(1 / 12), 1.0),
+    ], ids=["ones8", "flat300", "flat-dip-flat"])
+    def test_fixed_cases_match_linear_scan(self, y, eps):
+        assert_split_is_linear_scan(y, eps)
+
+    def test_fewer_tables_and_no_memo_writes(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        y = normalized(FinVector.from_dense(list(1.0 + rng.uniform(-0.1, 0.1, 64))))
+        engine.GLOBAL_MEMO.clear()
+        calls = []
+        build_tables = engine.build_tables
+        monkeypatch.setattr(engine, "build_tables",
+                            lambda *a, **k: calls.append(a) or build_tables(*a, **k))
+        prof = greedy_split(y, 0.25)
+        assert prof.count == 8
+        # the prefix search this scan replaced built 60 tables here
+        assert len(calls) < 60
+        assert len(engine.GLOBAL_MEMO) == 0
 
 
 class TestSplitCountBounds:

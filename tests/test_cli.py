@@ -213,6 +213,18 @@ class TestConfigAndCache:
         assert out == ""
         assert "'tolerence'" in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("tolerance", "1e-9"), ("tolerance", True), ("support_guard", 2.5),
+        ("support_guard", True), ("parallelism", "2"), ("system", 1)])
+    def test_config_wrong_type_exit_2(self, tmp_path, key, value):
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({key: value}))
+        code, out, err = run_cli("--config", str(cfgpath), "norm",
+                                 '{"dense":[1,1]}')
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+
     def test_config_env(self, tmp_path, monkeypatch):
         cfgpath = tmp_path / "cfg.json"
         cfgpath.write_text(json.dumps({"system": "g"}))

@@ -638,6 +638,16 @@ class TestMemoryGuard:
         # the N table alone would be 8 * 121^2 bytes, about 117 KB
         assert peak < 64 * 1024
 
+    def test_composition_growth_stays_under_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "DP_MEMORY_LIMIT_BYTES", 8 * 401 ** 2)
+        with pytest.raises(SupportGuardError):
+            engine._check_resources(401, 4096, flat=True)
+        tab = engine._ConstTables(F_SYSTEM)
+        for L in (300, 301, 400):
+            engine._check_resources(L, 4096, flat=True)
+            tab.ensure(L)
+            assert tab.T.nbytes <= engine.DP_MEMORY_LIMIT_BYTES
+
     def test_peak_no_higher_than_per_right_end_tables(self):
         x = _golden_vector(128, 5, False)
         build_tables(x)         # first-call allocations are not the kernel's
