@@ -96,12 +96,14 @@ class AuditReport:
                                    else list(self.counterexample))}
 
 
-def default_xi_grid(max_exp: int = 64, per_octave: int = 4) -> np.ndarray:
-    return np.exp2(np.arange(0, max_exp * per_octave + 1) / per_octave)
+def default_xi_grid() -> np.ndarray:
+    """xi = 2^(k/4) for k = 0..256: quarter octaves up to 2^64."""
+    return np.exp2(np.arange(0, 64 * 4 + 1) / 4)
 
 
-def default_nu_grid(max_exp: int = 16, per_octave: int = 4) -> np.ndarray:
-    return np.exp2(np.arange(0, max_exp * per_octave + 1) / per_octave)
+def default_nu_grid() -> np.ndarray:
+    """nu = 2^(k/4) for k = 0..64: quarter octaves up to 2^16."""
+    return np.exp2(np.arange(0, 16 * 4 + 1) / 4)
 
 
 def _chunked_min(margins: np.ndarray, workers: int) -> tuple[float, int]:
@@ -238,10 +240,9 @@ def audit_all(c: float, *, xi_grid: Optional[np.ndarray] = None,
 
 def find_min_constant(xi_grid: Optional[np.ndarray] = None,
                       nu_grid: Optional[np.ndarray] = None, *,
-                      step: float = 0.01, c_max: float = 8.0,
                       workers: int = 1) -> float:
-    """Smallest lattice constant c (step 0.01, c > 2) satisfying E1, E3,
-    E4 and subadditive E2 over the grids.  E1 at xi = 2 forces
+    """Smallest c on the lattice 1.01, 1.02, ..., 8 satisfying E1, E3, E4
+    and subadditive E2 over the grids.  E1 at xi = 2 forces
     c >= w(2)/(w(2) - 1) ~ 2.7095, so default grids land on 2.71."""
     xg = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
     ng = default_nu_grid() if nu_grid is None else np.asarray(nu_grid, dtype=float)
@@ -251,16 +252,14 @@ def find_min_constant(xi_grid: Optional[np.ndarray] = None,
         raise EngineCheckError("subadditivity failed; grids corrupt")
     # E1 forces c > w(xi)/(w(xi)-1) > 1 somewhere on any grid, so the
     # lattice starts just above 1; grids of huge xi admit c near 1
-    k = math.floor(1.0 / step) + 1
-    while k * step <= c_max:
-        c = round(k * step, 10)
+    for k in range(101, 801):
+        c = round(k * 0.01, 10)
         ok = (audit_slack(c, xg, workers=workers).min_margin >= 0.0
               and audit_root_power(c, xg, workers=workers).min_margin >= 0.0
               and audit_power(c, ng, xg, workers=workers).min_margin >= 0.0)
         if ok:
             return c
-        k += 1
-    raise DomainError(f"no admissible constant below {c_max}")
+    raise DomainError("no admissible constant below 8")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ class TowerProductResult:
 
 
 def tower_product(lam0: float, d: float, *, tail_tol: float = 1e-12,
-                  kind: str = "f", max_factors: int = 64) -> TowerProductResult:
+                  kind: str = "f") -> TowerProductResult:
     """Product over the tower of gamma factors times weight ratios.
 
     kind "f": factors gamma(r_k) * f(9 r_k)/f(r_k) on the f-tower.
@@ -322,7 +321,7 @@ def tower_product(lam0: float, d: float, *, tail_tol: float = 1e-12,
     log_sum = 0.0
     factors: list[float] = []
     tail = math.inf
-    for k in range(max_factors):
+    for k in range(64):
         wk = weight(lam)
         u = d / math.sqrt(wk) if d else 0.0
         if u >= 1.0:
@@ -351,7 +350,7 @@ def tower_product(lam0: float, d: float, *, tail_tol: float = 1e-12,
         lams.append(lam)
     else:
         raise EngineCheckError(f"tower product did not converge within "
-                               f"{max_factors} factors (tail {tail:.3g})")
+                               f"64 factors (tail {tail:.3g})")
 
     return TowerProductResult(math.exp(log_sum), log_sum / math.log(2.0),
                               len(factors), tail, tuple(factors[:6]),
@@ -427,39 +426,24 @@ def refinement_margin(x: FinVector, r: float, d: float, *,
         raise DomainError("escalated threshold r**w(r) out of representable range")
     r_next = 2.0 ** lam_next
 
+    # layered norm of each support run i..j at threshold r_next, straight
+    # from the shared partition tables
     L = tables.size
-    first_next = math.ceil(r_next)
-
-    # layered norm of each support run [i..j] at threshold r_next,
-    # straight from the shared partition tables
     V = np.full((L, L), -np.inf)
     for i in range(L):
+        peak = np.maximum.accumulate(tables.vabs[i:])
         for j in range(i, L):
-            ln = j - i + 1
-            seg_linf = float(np.max(tables.vabs[i:j + 1]))
-            best = seg_linf
-            run = -np.inf
-            sums = tables.sums(i, j)
-            for ell in range(first_next, max(first_next, ln) + 1):
-                top = min(ell, ln)
-                run = max(run, float(np.max(sums[:top])))
-                best = max(best, run / system.weight(ell))
-            V[i, j] = best
+            V[i, j] = _tail_layer(float(peak[j - i]), 1.0,
+                                  np.maximum.accumulate(tables.sums(i, j)),
+                                  r_next, system)
 
-    # best partition of the whole support into exactly p parts by V-sum
-    first = math.ceil(r)
-    max_parts = L
-    BP = np.full((max_parts + 1, L), -np.inf)
-    BP[1, :] = V[0, :]
-    for p in range(2, max_parts + 1):
-        for j in range(p - 1, L):
-            BP[p, j] = np.max(BP[p - 1, p - 2:j] + V[p - 1:j + 1, j])
-
-    inner = 0.0
-    for ell in range(first, max(first, L) + 1):
-        top = min(ell, L)
-        cand = max(float(np.max(BP[1:top + 1, L - 1])), 0.0)
-        inner = max(inner, cand / system.weight(ell))
+    # BP[p - 1, j]: best V-sum over partitions of 0..j into exactly p runs;
+    # a last run m+1..j after p - 1 runs on 0..m, -inf where none fits
+    BP = np.full((L, L), -np.inf)
+    BP[0] = V[0]
+    for p in range(1, L):
+        BP[p, 1:] = np.max(BP[p - 1, :-1, None] + V[1:, 1:], axis=0)
+    inner = _tail_layer(0.0, 1.0, np.maximum.accumulate(BP[:, L - 1]), r, system)
     rhs = gamma * inner
     return RefinementReport(lhs, rhs, rhs - lhs, inner, gamma, r_next,
                             {"r": r, "d": d, "support": L})

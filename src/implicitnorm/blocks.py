@@ -403,18 +403,15 @@ def build_projection(ys: BlockSequence, *, system: NormSystem = F_SYSTEM,
 
 
 def projection_norm_estimate(op: ProjectionOp, samples: Iterable[FinVector], *,
-                             c_equivalence: Optional[float] = None,
-                             extra_tuples: Iterable[Sequence[float]] = (),
                              system: NormSystem = F_SYSTEM,
                              tol: float = 1e-6,
                              guard: int = DEFAULT_SUPPORT_GUARD) -> ProjectionReport:
     """Operator-norm estimate max ||T x|| / ||x|| over the samples,
     compared against c_u * c_e * c_d with c_u = c_d = 1.
 
-    When no equivalence constant is supplied it is measured over the
-    coefficient tuples the samples themselves induce through the
-    functionals (plus any extra tuples), which is exactly the family the
-    factorization argument runs through.
+    The equivalence constant is measured over the coefficient tuples the
+    samples themselves induce through the functionals, which is exactly
+    the family the factorization argument runs through.
     """
     blocks = BlockSequence(b for _, b in op.pairs)
     nblocks = len(blocks)
@@ -432,12 +429,9 @@ def projection_norm_estimate(op: ProjectionOp, samples: Iterable[FinVector], *,
         tup = tuple(abs(a) for a in op.coefficients(x))
         if any(a != 0.0 for a in tup):
             induced.append(tup)
-    if c_equivalence is None:
-        family = induced + [tuple(tup) for tup in extra_tuples]
-        if not family:
-            family = [(1.0,) * nblocks]
-        c_equivalence = equivalence_constant(blocks, basis, family,
-                                             system=system, guard=guard)
+    family = induced or [(1.0,) * nblocks]
+    c_equivalence = equivalence_constant(blocks, basis, family,
+                                         system=system, guard=guard)
     bound = c_equivalence  # unconditional and domination constants are 1
     return ProjectionReport(estimate, count, c_equivalence, bound,
                             estimate <= bound + tol)
@@ -593,7 +587,6 @@ def _agreement_family(p: int, cap: int = 8) -> list[tuple[float, ...]]:
 
 
 def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], *,
-                          max_levels: Optional[int] = None,
                           system: NormSystem = F_SYSTEM,
                           tol: float = DEFAULT_TOLERANCE,
                           guard: int = DEFAULT_SUPPORT_GUARD
@@ -605,12 +598,11 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
     silently enforced.  Returns the chosen representatives min(M_n) and
     the per-level states; stops early with what it has when the family
     thins out."""
-    levels = min(len(eps_schedule), max_levels or len(eps_schedule))
     members = list(range(len(blocks)))
     states: list[StabilizationState] = []
     chosen: list[int] = []
     prev_count: Optional[int] = None
-    for n in range(1, levels + 1):
+    for n in range(1, len(eps_schedule) + 1):
         eps_n = float(eps_schedule[n - 1])
         pool = members[1:] if n > 1 else members[:]
         if n > 1:

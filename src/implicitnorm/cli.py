@@ -273,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "refused")
     p.add_argument("--parallelism", type=int)
     p.add_argument("--record", help="write a run record to this path")
-    p.add_argument("--csv", action="store_true", help="CSV output where available")
-    p.add_argument("--json", dest="json_out", action="store_true",
-                   help="JSON output (default)")
     sub = p.add_subparsers(dest="command", required=True)
 
     pn = sub.add_parser("norm", help="evaluate the implicit norm")
@@ -315,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     audsub = pa.add_subparsers(dest="audit_command", required=True)
     ai = audsub.add_parser("ineq")
     ai.add_argument("--c", type=float, default=3.0)
-    ai.add_argument("--csv", action="store_true", default=argparse.SUPPRESS)
+    ai.add_argument("--csv", action="store_true")
     ab = audsub.add_parser("beta")
     ab.add_argument("--d", type=float, required=True)
     ab.add_argument("--log2r", type=float, required=True)

@@ -34,7 +34,9 @@ end, so a batch of starts reads one plain slice.  The tables take about
 ``_plan`` is the one route decision of every reader: bitwise-constant
 vectors take a composition DP over lengths instead, which reaches the
 support guard (4096); both routes' tables answer ``value()``,
-``layer_sums()`` and ``witness()``.  ``_plan`` runs the one guard and
+``layer_sums()`` and ``witness()``.  Both record each interval's winning
+part count as they fill, so one walk, ``_witness``, reads the witness
+from either route's tables.  ``_plan`` runs the one guard and
 memory check, ``_check_resources``, before any memo read.  Its route
 rule, ``_routes_flat``, is also what ``greedy_split`` applies to the
 segments it would otherwise read from a shared window table.
@@ -212,7 +214,6 @@ class IntervalTables:
 
     system: NormSystem
     indices: tuple[int, ...]
-    signed: np.ndarray
     vabs: np.ndarray
     N: np.ndarray          # N[i, j]
     S: list[np.ndarray]    # [j // S_GROUP][j % S_GROUP, length - 1, n - 1], see sums
@@ -240,7 +241,15 @@ class IntervalTables:
         return float(self.layer_sums()[min(k, self.size) - 1])
 
     def witness(self) -> WitnessTree:
-        return _witness_from_tables(self, 0, self.size - 1)
+        return _witness(self, 0, self.size - 1)
+
+    def _parts(self, i: int, j: int) -> int:
+        return int(self.kind[i, j])
+
+    def _splits(self, i: int, j: int, n: int) -> np.ndarray:
+        """N[i, m] + sums(m + 1, j)[n - 2] for m = i..j-n+1."""
+        g, p = divmod(j, S_GROUP)
+        return self.N[i, i:j - n + 2] + self.S[g][p, n - 2:j - i, n - 2][::-1]
 
 
 def dp_table_bytes(L: int) -> int:
@@ -272,8 +281,7 @@ def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
         raise DomainError("zero vector has no DP tables")
     _check_resources(L, guard, flat=False)
 
-    signed = np.array(x.values, dtype=float)
-    v = np.abs(signed)
+    v = np.abs(np.array(x.values, dtype=float))
     l0 = system.min_parts
     # wv[n - 1] divides the n-part sums; wv[0] = 1 passes the sup norm
     wv = np.array([1.0] + [system.weight(max(n, l0)) for n in range(2, L + 1)])
@@ -332,7 +340,7 @@ def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
             a = max(j0, ell - 1)
             plane[a - j0:, ell - 1, :ell] = rows[a - ell + 1:j1 - ell + 2]
 
-    return IntervalTables(system, x.indices, signed, v, N, S, kind)
+    return IntervalTables(system, x.indices, v, N, S, kind)
 
 
 def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -357,21 +365,23 @@ def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray) -> np.ndarray:
     return arg
 
 
-def _witness_from_tables(t: IntervalTables, i: int, j: int) -> WitnessTree:
-    if i == j or t.kind[i, j] == 0:
-        pos = i + int(np.argmax(t.vabs[i:j + 1]))
-        return WitnessTree.leaf(t.indices[pos])
-    n = int(t.kind[i, j])
-    nn = max(n, t.system.min_parts)
+def _witness(t: IntervalTables | _FlatTables, i: int, j: int) -> WitnessTree:
+    """The partition that attains N[i, j], read from either route's tables:
+    a leaf at the first largest entry when the sup norm wins, else the
+    recorded part count n, each cut at the first split m whose N[i, m]
+    plus the rest's best (n - 1)-part sum is largest."""
+    if i == j:
+        return WitnessTree.leaf(t.indices[i])
+    n = t._parts(i, j)
+    if n == 0:
+        return WitnessTree.leaf(t.indices[i + int(np.argmax(t.vabs[i:j + 1]))])
     children = []
-    cur, rem = i, n
-    while rem > 1:
-        hi = j - rem + 1
-        arr = [t.N[cur, m] + t.sums(m + 1, j)[rem - 2] for m in range(cur, hi + 1)]
-        m = cur + int(np.argmax(arr))
-        children.append(_witness_from_tables(t, cur, m))
-        cur, rem = m + 1, rem - 1
-    children.append(_witness_from_tables(t, cur, j))
+    for rem in range(n, 1, -1):
+        m = i + int(np.argmax(t._splits(i, j, rem)))
+        children.append(_witness(t, i, m))
+        i = m + 1
+    children.append(_witness(t, i, j))
+    nn = max(n, t.system.min_parts)
     return WitnessTree.split(nn, t.system.weight(nn), children)
 
 
@@ -387,6 +397,7 @@ class _ConstTables:
     every request:
 
         nu[len]    norm of the unit constant vector of that length
+        kind[len]  its winning part count, 0 when the sup norm wins
         T[n, len]  best sum of piece norms over compositions of len
                    into exactly n parts.
     """
@@ -396,6 +407,7 @@ class _ConstTables:
         self.filled = 1
         self.nu = np.zeros(2)
         self.nu[1] = 1.0
+        self.kind = np.zeros(2, dtype=np.int64)
         # stored length-major, [len, n], so one length's part counts and
         # the rows read to fill them are contiguous; T is the [n, len] view
         Tl = np.full((2, 2), -np.inf)
@@ -413,13 +425,15 @@ class _ConstTables:
         Tl[: cap + 1, : cap + 1] = self.T.T
         nu = np.zeros(new_cap + 1)
         nu[: cap + 1] = self.nu
-        self.T, self.nu = Tl.T, nu
+        kind = np.zeros(new_cap + 1, dtype=np.int64)
+        kind[: cap + 1] = self.kind
+        self.T, self.nu, self.kind = Tl.T, nu, kind
 
     def ensure(self, L: int) -> None:
         if L <= self.filled:
             return
         self._grow(L)
-        nu, Tl = self.nu, self.T.T
+        nu, kind, Tl = self.nu, self.kind, self.T.T
         l0 = self.system.min_parts
         W = self.system.weight
         wv = np.array([W(n if n >= l0 else l0) for n in range(L + 1)])
@@ -433,48 +447,11 @@ class _ConstTables:
                 np.maximum(sums, np.max(nu[p0:p1, None]
                                         + Tl[ln - p0:ln - p1:-1, 1:ln], axis=0),
                            out=sums)
-            best = max(1.0, float(np.max(sums / wv[2:ln + 1])))
-            nu[ln] = best
-            Tl[ln, 1] = best
+            q = sums / wv[2:ln + 1]
+            a = int(np.argmax(q))
+            kind[ln] = a + 2 if q[a] > 1.0 else 0
+            nu[ln] = Tl[ln, 1] = max(1.0, float(q[a]))
         self.filled = L
-
-    def layer_sums(self, L: int) -> np.ndarray:
-        """Running max of the partition sums: entry k (1-based) is the
-        best sum over at most k parts for the unit constant vector."""
-        self.ensure(L)
-        return np.maximum.accumulate(self.T[1:L + 1, L])
-
-    def witness(self, indices: tuple[int, ...]) -> WitnessTree:
-        L = len(indices)
-        self.ensure(L)
-        return self._node(indices, 0, L)
-
-    def _node(self, indices: tuple[int, ...], offset: int, ln: int) -> WitnessTree:
-        if ln == 1:
-            return WitnessTree.leaf(indices[offset])
-        nu, T = self.nu, self.T
-        l0 = self.system.min_parts
-        chosen = 0
-        for n in range(2, ln + 1):
-            nn = max(n, l0)
-            if T[n, ln] / self.system.weight(nn) == nu[ln] and nu[ln] > 1.0:
-                chosen = n
-                break
-        if chosen == 0:
-            return WitnessTree.leaf(indices[offset])
-        children = []
-        cur, rem = offset, chosen
-        length = ln
-        while rem > 1:
-            arr = nu[1:length - rem + 2] + T[rem - 1, length - 1:rem - 2:-1]
-            m = 1 + int(np.argmax(arr))
-            children.append(self._node(indices, cur, m))
-            cur += m
-            length -= m
-            rem -= 1
-        children.append(self._node(indices, cur, length))
-        nn = max(chosen, l0)
-        return WitnessTree.split(nn, self.system.weight(nn), children)
 
 
 _CONST_TABLES: dict[NormSystem, _ConstTables] = {}
@@ -482,21 +459,37 @@ _CONST_TABLES: dict[NormSystem, _ConstTables] = {}
 
 class _FlatTables:
     """The unit flat vector on ``indices`` read from its system's shared
-    composition tables, through the reader surface of ``IntervalTables``."""
+    composition tables, through the reader surface of ``IntervalTables``;
+    positions i..j read the tables at length j - i + 1."""
 
     def __init__(self, system: NormSystem, indices: Sequence[int]):
         self.tab = _CONST_TABLES.get(system) or _CONST_TABLES.setdefault(
             system, _ConstTables(system))
+        self.system = system
         self.indices = indices
+        self.tab.ensure(len(indices))
 
-    def value(self) -> float:     # T[1, len] holds nu[len]
-        return float(self.layer_sums()[0])
+    def value(self) -> float:
+        return float(self.tab.nu[len(self.indices)])
 
     def layer_sums(self) -> np.ndarray:
-        return self.tab.layer_sums(len(self.indices))
+        """Entry k - 1 is the best sum over at most k parts."""
+        L = len(self.indices)
+        return np.maximum.accumulate(self.tab.T[1:L + 1, L])
 
     def witness(self) -> WitnessTree:
-        return self.tab.witness(self.indices)
+        return _witness(self, 0, len(self.indices) - 1)
+
+    @property
+    def vabs(self) -> np.ndarray:     # read only by a sup-norm leaf
+        return np.ones(len(self.indices))
+
+    def _parts(self, i: int, j: int) -> int:
+        return int(self.tab.kind[j - i + 1])
+
+    def _splits(self, i: int, j: int, n: int) -> np.ndarray:
+        ln, T = j - i + 1, self.tab.T
+        return self.tab.nu[1:ln - n + 2] + T[n - 1, ln - 1:n - 2:-1]
 
 
 def constant_vector_norm(system: NormSystem, length: int, coefficient: float, *,
@@ -554,13 +547,13 @@ class NormResult:
     character_tie: bool
     system: str
 
-    def to_jsonable(self, *, include_witness: bool = True) -> dict:
+    def to_jsonable(self) -> dict:
         out: dict = {"value": self.value, "system": self.system}
         if self.character is not None:
             out["character"] = ("inf" if math.isinf(self.character)
                                 else int(self.character))
             out["character_tie"] = self.character_tie
-        if include_witness and self.witness is not None:
+        if self.witness is not None:
             out["witness"] = self.witness.to_jsonable()
         return out
 
@@ -731,18 +724,18 @@ def norming_functional(x: FinVector, system: NormSystem = F_SYSTEM, *,
 # Independent oracle: all successive-set families on small supports
 # ---------------------------------------------------------------------------
 
-def brute_norm(x: FinVector, system: NormSystem = F_SYSTEM, *,
-               cap: int = BRUTE_SUPPORT_CAP) -> float:
+def brute_norm(x: FinVector, system: NormSystem = F_SYSTEM) -> float:
     """Fixed-point value by enumerating ALL partitions into successive
     finite sets, not only intervals.
 
     Successive sets may skip support points, so a family is a subset T of
     the support plus a chunking of T into consecutive runs; the oracle
     maximises over every such pair.  Super-exponential: refuses supports
-    larger than ``cap``."""
+    larger than ``BRUTE_SUPPORT_CAP``."""
     t = x.support_size()
-    if t > cap:
-        raise SupportGuardError(f"brute oracle capped at support {cap}, got {t}")
+    if t > BRUTE_SUPPORT_CAP:
+        raise SupportGuardError(
+            f"brute oracle capped at support {BRUTE_SUPPORT_CAP}, got {t}")
     if t == 0:
         return 0.0
     vals = [abs(v) for v in x.values]

@@ -46,6 +46,13 @@ class TestNormCommand:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_removed_global_flags_exit_2(self, flag):
+        # JSON is the only output; CSV is `audit ineq --csv` only
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            cli.main([flag, "norm", '{"dense":[1,1]}'])
+        assert exc.value.code == 2
+
     def test_guard_exit_3(self):
         code, _, err = run_cli("--guard", "2", "norm", '{"dense":[1,1,1]}')
         assert code == 3

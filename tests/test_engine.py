@@ -12,7 +12,8 @@ from implicitnorm import (DomainError, EngineCheckError, F_SYSTEM, G_SYSTEM,
                           best_sum, brute_norm, build_tables, character,
                           constant_best_sum, constant_vector_norm, engine,
                           layer_norm, log2_affine_system, norm, norm_value,
-                          norming_functional, tail_layer_norm)
+                          norming_functional, refinement_margin,
+                          tail_layer_norm)
 from implicitnorm.engine import dp_table_bytes
 from conftest import random_vector
 
@@ -403,14 +404,14 @@ class TestSelfCheck:
 
     def test_wrong_interval_witness_raises(self, monkeypatch):
         x = FinVector.from_dense([1.0, 0.5, 0.75])
-        monkeypatch.setattr(engine, "_witness_from_tables",
+        monkeypatch.setattr(engine, "_witness",
                             lambda t, i, j: WitnessTree.leaf(t.indices[1]))
         with pytest.raises(EngineCheckError):
             norm(x, memo=None)
 
     def test_wrong_flat_witness_raises(self, monkeypatch):
-        monkeypatch.setattr(engine._ConstTables, "witness",
-                            lambda self, indices: WitnessTree.leaf(indices[0]))
+        monkeypatch.setattr(engine, "_witness",
+                            lambda t, i, j: WitnessTree.leaf(t.indices[0]))
         with pytest.raises(EngineCheckError):
             norm(ones(70), memo=None)
 
@@ -503,6 +504,31 @@ def _golden_const_digest(system):
     sums = [constant_best_sum(system, 300, 1.0, k) for k in range(1, 301)]
     return hashlib.blake2b(np.array(sums, dtype="<f8").tobytes(),
                            digest_size=16).hexdigest()
+
+
+def _golden_flat_witness_digest(system):
+    """Digest of flat-route norm results, witnesses included."""
+    h = hashlib.blake2b(digest_size=16)
+    for L in (65, 300, 1016):
+        h.update(json.dumps(norm(ones(L).scale(0.3), system, memo=None).to_jsonable(),
+                            sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _golden_refinement_digest(system):
+    """Digest of refinement_margin reports, refusal texts included."""
+    h = hashlib.blake2b(digest_size=16)
+    for L in (4, 16, 40):
+        for rounded in (False, True):
+            x = _golden_vector(L, 2000 + L, rounded)
+            for r, d in ((2, 1.1), (3, 0.5), (8, 1.5)):
+                try:
+                    out = json.dumps(refinement_margin(x, r, d, system=system)
+                                     .to_jsonable(), sort_keys=True)
+                except DomainError as exc:
+                    out = f"DomainError: {exc}"
+                h.update(out.encode())
+    return h.hexdigest()
 
 
 def _loop_reference(x, system):
@@ -610,6 +636,24 @@ class TestGoldenDigests:
     def test_composition_dp(self, name):
         system = F_SYSTEM if name == "f" else G_SYSTEM
         assert _golden_const_digest(system) == self.CONST[name]
+
+    # recorded from the per-route witness extractors and the loop-filled
+    # refinement_margin that the one witness walk and the batched
+    # partition DP replaced
+    FLAT_WITNESS = {"f": "056ebf2c70e9fa71499fc3265abb16a3",
+                    "g": "1b9f0a40c8e0aabb43aee46092db048d"}
+    REFINEMENT = {"f": "db6c342c5fef2fdd5b8bf7ec10c20d77",
+                  "g": "1619089a156506b86b8a7298d7fd0cab"}
+
+    @pytest.mark.parametrize("name", sorted(FLAT_WITNESS))
+    def test_flat_witnesses(self, name):
+        system = F_SYSTEM if name == "f" else G_SYSTEM
+        assert _golden_flat_witness_digest(system) == self.FLAT_WITNESS[name]
+
+    @pytest.mark.parametrize("name", sorted(REFINEMENT))
+    def test_refinement_margin(self, name):
+        system = F_SYSTEM if name == "f" else G_SYSTEM
+        assert _golden_refinement_digest(system) == self.REFINEMENT[name]
 
 
 class TestMemoryGuard:

@@ -40,3 +40,12 @@ def test_examples_found():
 @pytest.mark.parametrize("line", EXAMPLES)
 def test_example_parses(line):
     cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_global_flags_match_parser():
+    block = fenced_block("## Command line")
+    table = block.split("global flags:\n", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", table))
+    parsed = {flag for action in cli.build_parser()._actions
+              for flag in action.option_strings} - {"-h", "--help"}
+    assert documented == parsed
