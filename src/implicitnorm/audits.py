@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -133,11 +133,13 @@ def _require_grid(name: str, grid: np.ndarray) -> np.ndarray:
 
 
 def _report(name: str, grid_desc: str, margins: np.ndarray,
-            points: Callable[[int], tuple], workers: int = 1) -> AuditReport:
+            axes: tuple[np.ndarray, ...], workers: int = 1) -> AuditReport:
+    """The minimum margin and its grid point: axis k of ``margins`` runs
+    over ``axes[k]``."""
     if margins.size == 0:
         raise DomainError(f"empty grid for {name}")
     mval, idx = _chunked_min(margins, workers)
-    pt = points(idx)
+    pt = tuple(float(ax[k]) for ax, k in zip(axes, np.unravel_index(idx, margins.shape)))
     counter = (*pt, mval) if mval < 0.0 else None
     return AuditReport(name, grid_desc, mval, pt, counter)
 
@@ -150,7 +152,7 @@ def audit_slack(c: float, xi_grid: Optional[np.ndarray] = None, *,
     fx = np.log2(grid + 1.0)
     margins = (fx - 1.0) - fx / c
     return _report("E1", f"xi in [2, {grid.max():g}] ({grid.size} pts)",
-                   margins, lambda i: (float(grid[i]),), workers)
+                   margins, (grid,), workers)
 
 
 def audit_product_growth_printed(c: float, xi_grid: Optional[np.ndarray] = None, *,
@@ -164,11 +166,8 @@ def audit_product_growth_printed(c: float, xi_grid: Optional[np.ndarray] = None,
     xip = grid[None, :]
     fx = np.log2(xi + 1.0)
     margins = c * fx - (np.log2(xi * xip + 1.0) - fx)
-    def pt(i: int) -> tuple:
-        a, b = np.unravel_index(i, margins.shape)
-        return float(grid[a]), float(grid[b])
     return _report("E2_printed", f"xi,xi' in [{c:g}, {grid.max():g}]^2",
-                   margins, pt, workers)
+                   margins, (grid, grid), workers)
 
 
 def audit_subadditivity(xi_grid: Optional[np.ndarray] = None, *,
@@ -184,11 +183,8 @@ def audit_subadditivity(xi_grid: Optional[np.ndarray] = None, *,
     # log2(1 + (xi+xi')/(xi*xi'+1)): a log1p of a nonnegative quantity,
     # which stays nonnegative in floating point as well
     margins = np.log1p((xi + xip) / (xi * xip + 1.0)) / math.log(2.0)
-    def pt(i: int) -> tuple:
-        a, b = np.unravel_index(i, margins.shape)
-        return float(grid[a]), float(grid[b])
     return _report("E2_subadditive", f"xi,xi' in [1, {grid.max():g}]^2",
-                   margins, pt, workers)
+                   margins, (grid, grid), workers)
 
 
 def audit_root_power(c: float, xi_grid: Optional[np.ndarray] = None, *,
@@ -201,7 +197,7 @@ def audit_root_power(c: float, xi_grid: Optional[np.ndarray] = None, *,
     lam_root = lam / np.sqrt(fx)
     margins = c * np.sqrt(fx) - (lam_root + np.log2(1.0 + np.exp2(-lam_root)))
     return _report("E3", f"xi in [{c:g}, {grid.max():g}]",
-                   margins, lambda i: (float(grid[i]),), workers)
+                   margins, (grid,), workers)
 
 
 def audit_power(c: float, nu_grid: Optional[np.ndarray] = None,
@@ -219,11 +215,8 @@ def audit_power(c: float, nu_grid: Optional[np.ndarray] = None,
     with np.errstate(over="ignore"):
         corr = np.where(pow_lam < 1074.0, np.log2(1.0 + np.exp2(-pow_lam)), 0.0)
     margins = c * nu * fx - (pow_lam + corr)
-    def pt(i: int) -> tuple:
-        a, b = np.unravel_index(i, margins.shape)
-        return float(ng[a]), float(xg[b])
     return _report("E4", f"nu in [1, {ng.max():g}], xi in [{c:g}, {xg.max():g}]",
-                   margins, pt, workers)
+                   margins, (ng, xg), workers)
 
 
 def audit_all(c: float, *, xi_grid: Optional[np.ndarray] = None,
@@ -414,7 +407,7 @@ def refinement_margin(x: FinVector, r: float, d: float, *,
     if _routes_flat(tuple(abs(v) for v in x.values)):
         lhs = tail_layer_norm(x, r, system, guard=guard)
     else:
-        lhs = _tail_layer(linf, 1.0, tables.layer_sums(), r, system)
+        lhs = float(_tail_layer(linf, 1.0, tables.layer_sums(), r, system))
     if abs(lhs - linf) <= tol * max(1.0, lhs):
         raise DomainError("hypothesis violated: layered norm attained by the sup norm")
     wr = float(system.weight_fn(r))
@@ -426,16 +419,18 @@ def refinement_margin(x: FinVector, r: float, d: float, *,
         raise DomainError("escalated threshold r**w(r) out of representable range")
     r_next = 2.0 ** lam_next
 
-    # layered norm of each support run i..j at threshold r_next, straight
-    # from the shared partition tables
-    L = tables.size
+    # V[i, i + ell - 1]: layered norm at threshold r_next of the run of
+    # ell positions at i, straight from the shared partition tables; one
+    # scan per length writes its diagonal, and peak[i] is the run's sup
+    L, vabs = tables.size, tables.vabs
     V = np.full((L, L), -np.inf)
-    for i in range(L):
-        peak = np.maximum.accumulate(tables.vabs[i:])
-        for j in range(i, L):
-            V[i, j] = _tail_layer(float(peak[j - i]), 1.0,
-                                  np.maximum.accumulate(tables.sums(i, j)),
-                                  r_next, system)
+    peak = vabs
+    for ell in range(1, L + 1):
+        peak = np.maximum(peak[:L - ell + 1], vabs[ell - 1:])
+        i = np.arange(L - ell + 1)
+        V[i, i + ell - 1] = _tail_layer(
+            peak, 1.0, np.maximum.accumulate(tables.length_sums(ell), axis=1),
+            r_next, system)
 
     # BP[p - 1, j]: best V-sum over partitions of 0..j into exactly p runs;
     # a last run m+1..j after p - 1 runs on 0..m, -inf where none fits
@@ -443,7 +438,7 @@ def refinement_margin(x: FinVector, r: float, d: float, *,
     BP[0] = V[0]
     for p in range(1, L):
         BP[p, 1:] = np.max(BP[p - 1, :-1, None] + V[1:, 1:], axis=0)
-    inner = _tail_layer(0.0, 1.0, np.maximum.accumulate(BP[:, L - 1]), r, system)
+    inner = float(_tail_layer(0.0, 1.0, np.maximum.accumulate(BP[:, L - 1]), r, system))
     rhs = gamma * inner
     return RefinementReport(lhs, rhs, rhs - lhs, inner, gamma, r_next,
                             {"r": r, "d": d, "support": L})

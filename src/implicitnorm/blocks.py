@@ -356,12 +356,7 @@ class ProjectionOp:
         return [phi.apply(x) for phi, _ in self.pairs]
 
     def apply(self, x: FinVector) -> FinVector:
-        out: list[tuple[int, float]] = []
-        for (phi, block) in self.pairs:
-            a = phi.apply(x)
-            if a != 0.0:
-                out.extend((i, a * v) for i, v in block.coords)
-        return FinVector(out)
+        return BlockSequence(b for _, b in self.pairs).combine(self.coefficients(x))
 
     def to_jsonable(self) -> dict:
         return {"frames": [f.to_jsonable() for f in self.frames],
@@ -424,9 +419,10 @@ def projection_norm_estimate(op: ProjectionOp, samples: Iterable[FinVector], *,
         nx = norm_value(x, system, guard=guard)
         if nx == 0.0:
             continue
-        tx = op.apply(x)
+        coeffs = op.coefficients(x)
+        tx = blocks.combine(coeffs)
         estimate = max(estimate, norm_value(tx, system, guard=guard) / nx)
-        tup = tuple(abs(a) for a in op.coefficients(x))
+        tup = tuple(abs(a) for a in coeffs)
         if any(a != 0.0 for a in tup):
             induced.append(tup)
     family = induced or [(1.0,) * nblocks]

@@ -232,13 +232,17 @@ class IntervalTables:
         g, p = divmod(j, S_GROUP)
         return self.S[g][p, j - i, :j - i + 1]
 
+    def length_sums(self, ell: int) -> np.ndarray:
+        """The sums of every run of ell positions: row i is
+        sums(i, i + ell - 1), for i = 0..size-ell."""
+        g, p = divmod(ell - 1, S_GROUP)
+        return np.concatenate([self.S[g][p:, ell - 1, :ell]]
+                              + [plane[:, ell - 1, :ell] for plane in self.S[g + 1:]])
+
     def layer_sums(self) -> np.ndarray:
         """Running max of the whole support's sums: entry k - 1 is the
         best sum over at most k parts."""
         return np.maximum.accumulate(self.sums(0, self.size - 1))
-
-    def best_sum(self, k: int) -> float:
-        return float(self.layer_sums()[min(k, self.size) - 1])
 
     def witness(self) -> WitnessTree:
         return _witness(self, 0, self.size - 1)
@@ -558,33 +562,31 @@ class NormResult:
         return out
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _close(a, b, tol: float):
+    """|a - b| within tol relative to max(1, |a|, |b|); elementwise on arrays."""
+    return abs(a - b) <= tol * np.maximum(np.maximum(1.0, abs(a)), abs(b))
 
 
-def _layer(c: float, sums: np.ndarray, ell: int, system: NormSystem) -> float:
-    """Layer ell of c times the vector whose ``layer_sums`` are ``sums``."""
-    return c * float(sums[min(ell, len(sums)) - 1]) / system.weight(ell)
+def _weights(system: NormSystem, lo: int, hi: int) -> np.ndarray:
+    """w(ell) for the layers ell = lo..hi."""
+    return np.array([system.weight(ell) for ell in range(lo, hi + 1)])
 
 
 def _character_scan(value: float, linf: float, c: float, sums: np.ndarray,
-                    system: NormSystem, lo: int, hi: int,
-                    tol: float) -> tuple[float, bool]:
-    attained = None
-    for ell in range(lo, hi + 1):
-        if _close(value, _layer(c, sums, ell, system), tol):
-            attained = ell
-            break
-    linf_hit = _close(value, linf, tol)
-    if attained is not None:
-        return float(attained), linf_hit
-    return math.inf, False
+                    system: NormSystem, lo: int, tol: float) -> tuple[float, bool]:
+    """The first layer ell = lo..len(sums) of c times the vector whose
+    ``layer_sums`` are ``sums`` that is close to ``value``, and whether
+    ``linf`` is too; (inf, False) when no layer is."""
+    hits = np.flatnonzero(_close(value, c * sums[lo - 1:] / _weights(system, lo, len(sums)),
+                                 tol))
+    if hits.size == 0:
+        return math.inf, False
+    return float(lo + hits[0]), bool(_close(value, linf, tol))
 
 
 def norm(x: FinVector, system: NormSystem = F_SYSTEM, *,
          guard: int = DEFAULT_SUPPORT_GUARD,
-         tol: float = DEFAULT_TOLERANCE,
-         memo: Optional[MemoTable] = GLOBAL_MEMO) -> NormResult:
+         tol: float = DEFAULT_TOLERANCE) -> NormResult:
     """Full norm evaluation: value, witness tree, and character.
 
     The character is the smallest layer ell with norm == layer norm at
@@ -595,8 +597,8 @@ def norm(x: FinVector, system: NormSystem = F_SYSTEM, *,
     The witness is evaluated on x before returning; a value it misses by
     more than ``WITNESS_CHECK_RTOL`` relative raises ``EngineCheckError``.
 
-    The value is written to ``memo`` but the memo is never read here: an
-    entry holds a value only, not the witness and sums this result needs.
+    The memo is neither read nor written here: an entry holds a value
+    only, not the witness and sums this result needs.
     """
     L = x.support_size()
     if L == 0:
@@ -610,9 +612,7 @@ def norm(x: FinVector, system: NormSystem = F_SYSTEM, *,
         raise EngineCheckError(
             f"witness evaluates to {check!r} but the norm is {value!r}")
     char, tie = _character_scan(value, max(vabs), c, tables.layer_sums(), system,
-                                max(2, system.min_parts), L, tol)
-    if memo is not None:
-        memo.put(system, vabs, value)
+                                max(2, system.min_parts), tol)
     return NormResult(value, witness, char, tie, system.name)
 
 
@@ -675,19 +675,22 @@ def tail_layer_norm(x: FinVector, r: float, system: NormSystem = F_SYSTEM, *,
     if L == 0:
         return 0.0
     _, c, build = _plan(x, system, guard)
-    return _tail_layer(x.linf(), c, build().layer_sums(), r, system)
+    return float(_tail_layer(x.linf(), c, build().layer_sums(), r, system))
 
 
-def _tail_layer(linf: float, c: float, sums: np.ndarray, r: float,
-                system: NormSystem) -> float:
+def _tail_layer(linf, c: float, sums: np.ndarray, r: float,
+                system: NormSystem) -> np.ndarray:
     """Supremum of ``linf`` and the layers ell >= r of c times the vector
-    whose ``layer_sums`` are ``sums``, scanned up to its support size or
-    ceil(r), whichever is larger."""
-    first = math.ceil(r)
-    best = linf
-    for ell in range(first, max(first, len(sums)) + 1):
-        best = max(best, _layer(c, sums, ell, system))
-    return best
+    whose ``layer_sums`` run along the last axis of ``sums``, one per row
+    (``linf`` may hold one value per row).  Layers ell = ceil(r)..support
+    size are scanned; when ceil(r) exceeds the support, layer ceil(r)
+    alone is, since later layers only shrink."""
+    first, L = math.ceil(r), sums.shape[-1]
+    if first > L:
+        # a scalar weight: r, and so ceil(r), may be far beyond any array
+        return np.maximum(linf, c * sums[..., -1] / system.weight(first))
+    return np.maximum(linf, (c * sums[..., first - 1:] / _weights(system, first, L))
+                      .max(axis=-1))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from implicitnorm import (DomainError, EngineCheckError, F_SYSTEM, G_SYSTEM,
                           FinVector, MemoTable, SupportGuardError, WitnessTree,
@@ -407,18 +408,18 @@ class TestSelfCheck:
         monkeypatch.setattr(engine, "_witness",
                             lambda t, i, j: WitnessTree.leaf(t.indices[1]))
         with pytest.raises(EngineCheckError):
-            norm(x, memo=None)
+            norm(x)
 
     def test_wrong_flat_witness_raises(self, monkeypatch):
         monkeypatch.setattr(engine, "_witness",
                             lambda t, i, j: WitnessTree.leaf(t.indices[0]))
         with pytest.raises(EngineCheckError):
-            norm(ones(70), memo=None)
+            norm(ones(70))
 
     def test_flat_witnesses_pass_to_1016(self):
         for system in (F_SYSTEM, G_SYSTEM):
             for L in (65, 300, 1016):
-                norm(ones(L).scale(0.3), system, memo=None)
+                norm(ones(L).scale(0.3), system)
 
 
 class TestNormAxioms:
@@ -494,8 +495,10 @@ def _golden_digest(x, system):
     h = hashlib.blake2b(digest_size=16)
     h.update(np.ascontiguousarray(t.N, dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(t.kind, dtype="<i8").tobytes())
-    h.update(np.array([t.best_sum(k) for k in range(1, L + 2)], dtype="<f8").tobytes())
-    h.update(json.dumps(norm(x, system, memo=None).to_jsonable(),
+    sums = t.layer_sums()
+    h.update(np.array([float(sums[min(k, L) - 1]) for k in range(1, L + 2)],
+                      dtype="<f8").tobytes())
+    h.update(json.dumps(norm(x, system).to_jsonable(),
                         sort_keys=True).encode())
     return h.hexdigest()
 
@@ -510,25 +513,38 @@ def _golden_flat_witness_digest(system):
     """Digest of flat-route norm results, witnesses included."""
     h = hashlib.blake2b(digest_size=16)
     for L in (65, 300, 1016):
-        h.update(json.dumps(norm(ones(L).scale(0.3), system, memo=None).to_jsonable(),
+        h.update(json.dumps(norm(ones(L).scale(0.3), system).to_jsonable(),
                             sort_keys=True).encode())
     return h.hexdigest()
 
 
-def _golden_refinement_digest(system):
+def _golden_refinement_digest(system, xs):
     """Digest of refinement_margin reports, refusal texts included."""
     h = hashlib.blake2b(digest_size=16)
-    for L in (4, 16, 40):
-        for rounded in (False, True):
-            x = _golden_vector(L, 2000 + L, rounded)
-            for r, d in ((2, 1.1), (3, 0.5), (8, 1.5)):
-                try:
-                    out = json.dumps(refinement_margin(x, r, d, system=system)
-                                     .to_jsonable(), sort_keys=True)
-                except DomainError as exc:
-                    out = f"DomainError: {exc}"
-                h.update(out.encode())
+    for x in xs:
+        for r, d in ((2, 1.1), (3, 0.5), (8, 1.5)):
+            try:
+                out = json.dumps(refinement_margin(x, r, d, system=system)
+                                 .to_jsonable(), sort_keys=True)
+            except DomainError as exc:
+                out = f"DomainError: {exc}"
+            h.update(out.encode())
     return h.hexdigest()
+
+
+def _golden_tail_layer_digest(system):
+    """Digest of tail_layer_norm on both routes, at thresholds below,
+    inside and far beyond the supports, refusal texts included."""
+    xs = [_golden_vector(L, 3000 + L, rounded)
+          for L in (1, 5, 16, 64) for rounded in (False, True)]
+    out = []
+    for x in xs + [ones(70).scale(0.3)]:
+        for r in (2, 2.5, 3, 7.2, 40, 1e6, 2 ** 300):
+            try:
+                out.append(tail_layer_norm(x, r, system))
+            except DomainError as exc:
+                out.append(f"DomainError: {exc}")
+    return hashlib.blake2b(json.dumps(out).encode(), digest_size=16).hexdigest()
 
 
 def _loop_reference(x, system):
@@ -568,6 +584,75 @@ def _assert_matches_loop_reference(x, system):
         for i in range(j + 1):
             assert np.array_equal(t.sums(i, j), S[i, 1:j - i + 2, j])
     return t
+
+
+def _close_reference(a, b, tol):
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def _layer_reference(c, sums, ell, system):
+    return c * float(sums[min(ell, len(sums)) - 1]) / system.weight(ell)
+
+
+def _tail_layer_reference(linf, c, sums, r, system):
+    """The scalar per-layer loop that the row-wise ``_tail_layer``
+    replaced, kept as a reference for one 1-D ``sums``."""
+    first = math.ceil(r)
+    best = linf
+    for ell in range(first, max(first, len(sums)) + 1):
+        best = max(best, _layer_reference(c, sums, ell, system))
+    return best
+
+
+def _character_scan_reference(value, linf, c, sums, system, lo, hi, tol):
+    """The scalar per-layer loop that the vectorized ``_character_scan``
+    replaced, kept as a reference."""
+    attained = None
+    for ell in range(lo, hi + 1):
+        if _close_reference(value, _layer_reference(c, sums, ell, system), tol):
+            attained = ell
+            break
+    linf_hit = _close_reference(value, linf, tol)
+    if attained is not None:
+        return float(attained), linf_hit
+    return math.inf, False
+
+
+class TestLayerScans:
+    """The row-wise tail-layer scan and the vectorized character scan
+    against the scalar loops they replaced, bit for bit, with thresholds
+    below, inside and beyond the support."""
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12)),
+                  elements=st.floats(0.05, 4.0)),
+           st.sampled_from([2, 2.5, 3, 7.2, 12, 12.5, 40, 2.0 ** 300]),
+           st.floats(0.1, 3.0), st.sampled_from([F_SYSTEM, G_SYSTEM]))
+    @settings(max_examples=80, deadline=None)
+    def test_tail_layer_matches_loop(self, raw, r, c, system):
+        sums = np.maximum.accumulate(raw, axis=1)
+        linf = raw[:, 0]
+        want = np.array([_tail_layer_reference(float(m), c, row, r, system)
+                         for m, row in zip(linf, sums)])
+        assert engine._tail_layer(linf, c, sums, r, system).tobytes() == want.tobytes()
+        for m, row, w in zip(linf, sums, want):
+            assert np.float64(engine._tail_layer(float(m), c, row, r, system)) \
+                .tobytes() == w.tobytes()
+
+    @given(st.lists(st.floats(0.05, 4.0), min_size=1, max_size=12),
+           st.floats(0.1, 3.0), st.integers(0, 11), st.sampled_from([0.0, 1e-10, 1e-6]),
+           st.booleans(), st.sampled_from([engine.DEFAULT_TOLERANCE, 0.05, 0.5]),
+           st.sampled_from([F_SYSTEM, G_SYSTEM]))
+    @settings(max_examples=80, deadline=None)
+    def test_character_scan_matches_loop(self, raw, c, pick, nudge, tie, tol, system):
+        # a loose tol lets several layers hit, so the first one must win
+        sums = np.maximum.accumulate(np.array(raw))
+        lo, L = max(2, system.min_parts), len(raw)
+        layers = [_layer_reference(c, sums, ell, system) for ell in range(lo, L + 1)]
+        value = (layers or [c])[pick % max(1, len(layers))] * (1.0 + nudge)
+        linf = value if tie else c * raw[0]
+        got = engine._character_scan(value, linf, c, sums, system, lo, tol)
+        want = _character_scan_reference(value, linf, c, sums, system, lo, L, tol)
+        assert got == want and type(got[0]) is float and type(got[1]) is bool
 
 
 class TestVectorizedKernel:
@@ -653,7 +738,29 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("name", sorted(REFINEMENT))
     def test_refinement_margin(self, name):
         system = F_SYSTEM if name == "f" else G_SYSTEM
-        assert _golden_refinement_digest(system) == self.REFINEMENT[name]
+        xs = [_golden_vector(L, 2000 + L, rounded)
+              for L in (4, 16, 40) for rounded in (False, True)]
+        assert _golden_refinement_digest(system, xs) == self.REFINEMENT[name]
+
+    # recorded from the per-layer scalar tail-layer scan and the per-run
+    # refinement_margin fill that the row-wise scan replaced
+    TAIL_LAYER = {"f": "b21ba09af3426d4501acbd1767330b62",
+                  "g": "cb62046fa06bedb5247a330358249ab1"}
+    REFINEMENT_LARGE = {"f": "726c29f904098ee54c82eb2fef40cbc8",
+                        "g": "1848d846a273bef3ef0455df273a7677"}
+
+    @pytest.mark.parametrize("name", sorted(TAIL_LAYER))
+    def test_tail_layer_norm(self, name):
+        system = F_SYSTEM if name == "f" else G_SYSTEM
+        assert _golden_tail_layer_digest(system) == self.TAIL_LAYER[name]
+
+    @pytest.mark.parametrize("name", sorted(REFINEMENT_LARGE))
+    def test_refinement_margin_large(self, name):
+        # past several S groups, with a flat input on the interval tables
+        system = F_SYSTEM if name == "f" else G_SYSTEM
+        xs = [_golden_vector(L, 4000 + L, rounded)
+              for L in (64, 70) for rounded in (False, True)] + [ones(70)]
+        assert _golden_refinement_digest(system, xs) == self.REFINEMENT_LARGE[name]
 
 
 class TestMemoryGuard:
