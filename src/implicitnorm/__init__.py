@@ -22,7 +22,7 @@ from .engine import (CharacterResult, DomainError, EngineCheckError,
                      best_sum, brute_norm, build_tables, character,
                      constant_best_sum, constant_vector_norm, get_system,
                      layer_norm, log2_affine_system, norm, norm_value,
-                     norming_functional, tail_layer_norm)
+                     norm_values, norming_functional, tail_layer_norm)
 from .blocks import (BlockSequence, ExperimentReport, NotEquivalentOnFamilyError,
                      ProjectionOp, ProjectionReport, SplitProfile,
                      StabilizationState, average_split_experiment,

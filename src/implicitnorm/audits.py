@@ -397,6 +397,8 @@ def refinement_margin(x: FinVector, r: float, d: float, *,
     if x.is_zero():
         raise DomainError("zero vector")
     lo = max(2, system.min_parts)
+    if not math.isfinite(r):
+        raise DomainError(f"r must be finite, got {r}")
     if r < lo:
         raise DomainError(f"r must be >= {lo}")
     # the interval tables first: their resource check refuses before any

@@ -27,6 +27,7 @@ from .engine import (
     constant_vector_norm,
     norm,
     norm_value,
+    norm_values,
 )
 from .vectors import FinVector, Functional, Interval
 
@@ -144,10 +145,22 @@ def greedy_split(y: FinVector, eps: float, system: NormSystem = F_SYSTEM, *,
     ``norm_value`` does, and skip the window.  Segment norms are not
     written to the memo.
     """
+    return _greedy_split(y, eps, system, tol, guard, None)[0]
+
+
+def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guard: int,
+                  carried: Optional[tuple]) -> tuple[SplitProfile, Optional[tuple]]:
+    """``greedy_split``, also reading ``carried``, a window (w0, N table)
+    that an earlier split of the same y left, and returning the window to
+    carry to the next one.  A carried window reaches y's last coordinate
+    (a split's last read ends there), so it covers every segment that
+    starts at w0 or later; reads before w0 come first and take the own
+    window exactly as a split without one would, so carrying adds no fill.
+    """
     if eps <= 0.0:
         raise DomainError("eps must be positive")
     if y.is_zero():
-        return SplitProfile((), (), eps)
+        return SplitProfile((), (), eps), carried
     if y.linf() > eps and not _close(y.linf(), eps, tol):
         raise DomainError(f"coordinate exceeds eps: |{y.linf()}| > {eps}")
 
@@ -164,6 +177,8 @@ def greedy_split(y: FinVector, eps: float, system: NormSystem = F_SYSTEM, *,
         if _routes_flat(vabs[a:b + 1]):
             return constant_vector_norm(system, b - a + 1, vabs[a], guard=guard)
         if b >= w0 + width:
+            if carried is not None and a >= carried[0]:
+                return float(carried[1][a - carried[0], b - carried[0]])
             if b - a >= width:
                 width = max(2 * width, b - a + 1)
             w0, width = a, min(width, L - a)
@@ -183,7 +198,10 @@ def greedy_split(y: FinVector, eps: float, system: NormSystem = F_SYSTEM, *,
         pieces.append(seg(p, e))
         norms.append(nv)
         p = e + 1
-    return SplitProfile(tuple(pieces), tuple(norms), eps)
+    # carry the window that reaches the last coordinate and starts first
+    if window is not None and w0 + width == L and (carried is None or w0 < carried[0]):
+        carried = (w0, window)
+    return SplitProfile(tuple(pieces), tuple(norms), eps), carried
 
 
 def split_count_bounds(eps: float, system: NormSystem = F_SYSTEM) -> tuple[int, int]:
@@ -303,10 +321,11 @@ def equivalence_constant(xs: BlockSequence, ys: BlockSequence,
     """
     if len(xs) != len(ys):
         raise DomainError("sequences must have equal length")
+    tups = list(coeffs)
+    values = norm_values([xs.combine(tup) for tup in tups]
+                         + [ys.combine(tup) for tup in tups], system, guard=guard)
     worst = None
-    for tup in coeffs:
-        nx = norm_value(xs.combine(tup), system, guard=guard)
-        ny = norm_value(ys.combine(tup), system, guard=guard)
+    for tup, nx, ny in zip(tups, values, values[len(tups):]):
         if (nx == 0.0) != (ny == 0.0):
             raise NotEquivalentOnFamilyError(
                 f"not equivalent on family: tuple {tuple(tup)} gives norms "
@@ -325,18 +344,17 @@ def domination_margin(ys: BlockSequence, coeffs: Iterable[Sequence[float]], *,
                       guard: int = DEFAULT_SUPPORT_GUARD) -> float:
     """min over tuples of ||sum a_i y_i|| - ||sum a_i e_i|| for normalized
     blocks; nonnegative up to tolerance (blocks dominate the basis)."""
-    for idx, y in enumerate(ys):
-        _check_unit_norm(idx, norm_value(y, system, guard=guard), tol)
-    margin = math.inf
-    count = 0
-    for tup in coeffs:
-        count += 1
-        lhs = norm_value(ys.combine(tup), system, guard=guard)
-        basis = FinVector((i + 1, a) for i, a in enumerate(tup) if a != 0.0)
-        rhs = norm_value(basis, system, guard=guard)
-        margin = min(margin, lhs - rhs)
-    if count == 0:
+    for idx, nv in enumerate(norm_values(list(ys), system, guard=guard)):
+        _check_unit_norm(idx, nv, tol)
+    tups = list(coeffs)
+    if not tups:
         raise DomainError("coefficient family is empty")
+    values = norm_values([ys.combine(tup) for tup in tups]
+                         + [FinVector((i + 1, a) for i, a in enumerate(tup) if a != 0.0)
+                            for tup in tups], system, guard=guard)
+    margin = math.inf
+    for lhs, rhs in zip(values, values[len(tups):]):
+        margin = min(margin, lhs - rhs)
     return margin
 
 
@@ -406,30 +424,27 @@ def projection_norm_estimate(op: ProjectionOp, samples: Iterable[FinVector], *,
 
     The equivalence constant is measured over the coefficient tuples the
     samples themselves induce through the functionals, which is exactly
-    the family the factorization argument runs through.
+    the family the factorization argument runs through.  The samples are
+    normed in one ``norm_values`` call, then their images in another.
     """
     blocks = BlockSequence(b for _, b in op.pairs)
     nblocks = len(blocks)
     basis = BlockSequence(FinVector.basis(i + 1) for i in range(nblocks))
+    samples = list(samples)
+    kept = [(x, nx) for x, nx in zip(samples, norm_values(samples, system, guard=guard))
+            if nx != 0.0]
+    coeffs = [op.coefficients(x) for x, _ in kept]
+    images = norm_values([blocks.combine(c) for c in coeffs], system, guard=guard)
     estimate = 0.0
-    count = 0
-    induced: list[tuple[float, ...]] = []
-    for x in samples:
-        count += 1
-        nx = norm_value(x, system, guard=guard)
-        if nx == 0.0:
-            continue
-        coeffs = op.coefficients(x)
-        tx = blocks.combine(coeffs)
-        estimate = max(estimate, norm_value(tx, system, guard=guard) / nx)
-        tup = tuple(abs(a) for a in coeffs)
-        if any(a != 0.0 for a in tup):
-            induced.append(tup)
+    for (_, nx), ntx in zip(kept, images):
+        estimate = max(estimate, ntx / nx)
+    induced = [tup for tup in (tuple(abs(a) for a in c) for c in coeffs)
+               if any(a != 0.0 for a in tup)]
     family = induced or [(1.0,) * nblocks]
     c_equivalence = equivalence_constant(blocks, basis, family,
                                          system=system, guard=guard)
     bound = c_equivalence  # unconditional and domination constants are 1
-    return ProjectionReport(estimate, count, c_equivalence, bound,
+    return ProjectionReport(estimate, len(samples), c_equivalence, bound,
                             estimate <= bound + tol)
 
 
@@ -593,8 +608,11 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
     cluster survives.  Growth conditions are checked and reported, never
     silently enforced.  Returns the chosen representatives min(M_n) and
     the per-level states; stops early with what it has when the family
-    thins out."""
+    thins out.  Each member's split window is carried from one level to
+    the next (``_greedy_split``), so a deeper level reads the tables an
+    earlier one filled instead of filling them again."""
     members = list(range(len(blocks)))
+    windows: dict = {}      # member -> its split window, carried across levels
     states: list[StabilizationState] = []
     chosen: list[int] = []
     prev_count: Optional[int] = None
@@ -609,8 +627,10 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
             pool = [i for i in pool if blocks[i].linf() <= eps_n + tol]
         if not pool:
             break
-        profiles = {i: greedy_split(blocks[i], eps_n, system, tol=tol, guard=guard)
-                    for i in pool}
+        profiles = {}
+        for i in pool:
+            profiles[i], windows[i] = _greedy_split(blocks[i], eps_n, system, tol, guard,
+                                                    windows.get(i))
         by_count: dict[int, list[int]] = {}
         for i in pool:
             by_count.setdefault(profiles[i].count, []).append(i)

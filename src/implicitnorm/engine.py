@@ -31,6 +31,18 @@ views.  S keeps the planes of S_GROUP consecutive right ends j in one
 array indexed [j, length, part count], sized for the group's last right
 end, so a batch of starts reads one plain slice.  The tables take about
 8 L^3 / 3 bytes, so the 1 GiB cap admits supports up to 735.
+
+The fill, ``_fill``, runs on a stack of B vectors of one support size:
+every table has a leading batch axis, so each step serves all B rows with
+the numpy calls one vector would make, and ``build_tables`` is the
+B = 1 case.  Each run's l1 bound is one ``np.add.reduce`` per length over
+a window view built once per fill, the same pairwise sum as a reduce of
+the run alone, so every row is bitwise the fill of its vector alone.
+``norm_values`` serves many vectors that way: it plans them all, reads
+the memo once per distinct key and fills the misses in one batch per
+support size; ``_check_resources`` tells it how many vectors one fill
+may take, so every part's tables stay under the memory limit.  Small
+fills are almost all fixed cost, which a batch pays once.
 ``_plan`` is the one route decision of every reader: bitwise-constant
 vectors take a composition DP over lengths instead, which reaches the
 support guard (4096); both routes' tables answer ``value()``,
@@ -40,6 +52,8 @@ from either route's tables.  ``_plan`` runs the one guard and
 memory check, ``_check_resources``, before any memo read.  Its route
 rule, ``_routes_flat``, is also what ``greedy_split`` applies to the
 segments it would otherwise read from a shared window table.
+Every weight these kernels divide by is a slice of one array per system,
+``NormSystem.weight_table``, grown on demand.
 
 The set-level supremum is kept alive independently in ``brute_norm``,
 which enumerates all gapped successive-set families on small supports;
@@ -64,6 +78,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .vectors import FinVector, Functional, WitnessTree
 
@@ -86,8 +101,8 @@ CONST_CHUNK = 32
 # group's last right end): at S_GROUP = 4 a fill at L = 128 peaks no
 # higher than with one array per right end.
 S_GROUP = 4
-# Elements of the add temporary of one batched fill step; numpy's iterator
-# buffers come on top, up to this size for each strided operand.
+# Elements per batch row of the add temporary of one fill step; numpy's
+# iterator buffers come on top, up to this size for each strided operand.
 DP_BATCH = 1 << 13
 BRUTE_SUPPORT_CAP = 8
 # ``norm`` evaluates its witness on the input; the witness adds left to
@@ -124,6 +139,8 @@ class NormSystem:
     min_parts: int
     weight_fn: Callable[[int], float]
     _weights: dict = field(default_factory=dict, repr=False, compare=False)
+    _table: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if self.min_parts < 2:
@@ -139,6 +156,18 @@ class NormSystem:
         if w is None:
             w = float(self.weight_fn(n))
             self._weights[n] = w
+        return w
+
+    def weight_table(self, hi: int) -> np.ndarray:
+        """The system's one weight array, at least hi + 1 long: entry n is
+        weight(max(n, min_parts)), the same float ``weight`` returns.
+        Grown on demand by doubling; callers read slices of it."""
+        w = self._table
+        if len(w) <= hi:
+            l0 = self.min_parts
+            w = np.concatenate((w, [self.weight(max(n, l0))
+                                    for n in range(len(w), max(hi + 1, 2 * len(w)))]))
+            object.__setattr__(self, "_table", w)
         return w
 
 
@@ -265,10 +294,13 @@ def dp_table_bytes(L: int) -> int:
     return 8 * cells + 10 * L * L
 
 
-def _check_resources(L: int, guard: int, flat: bool) -> None:
+def _check_resources(L: int, guard: int, flat: bool, B: int = 1) -> int:
     """The one resource check of both routes: the support guard, then the
     route's table memory against ``DP_MEMORY_LIMIT_BYTES``, estimated
-    without allocating.  The message names the limit that refused."""
+    without allocating.  The message names the limit that refused.
+    Returns how many of B vectors of support L one fill may take, so that
+    a batch split into parts of that size keeps every part's tables under
+    the limit."""
     if L > guard:
         raise SupportGuardError(f"support size {L} exceeds guard {guard}")
     need, what = (8 * (L + 1) ** 2, "composition") if flat else (dp_table_bytes(L), "DP")
@@ -276,6 +308,7 @@ def _check_resources(L: int, guard: int, flat: bool) -> None:
         raise SupportGuardError(
             f"support size {L} needs ~{need >> 20} MiB of {what} tables "
             f"(limit {DP_MEMORY_LIMIT_BYTES >> 20} MiB)")
+    return min(B, DP_MEMORY_LIMIT_BYTES // need)
 
 
 def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
@@ -284,41 +317,63 @@ def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
     if L == 0:
         raise DomainError("zero vector has no DP tables")
     _check_resources(L, guard, flat=False)
+    pad = _padded([x.values], L)
+    N, kind, S = _fill(pad, system)
+    return IntervalTables(system, x.indices, pad[0, :L], N[0], [plane[0] for plane in S],
+                          kind[0])
 
-    v = np.abs(np.array(x.values, dtype=float))
-    l0 = system.min_parts
+
+def _padded(rows: Sequence[Sequence[float]], L: int) -> np.ndarray:
+    """The input of ``_fill``: row b holds |rows[b]| (L values), then L zeros."""
+    pad = np.zeros((len(rows), 2 * L))
+    np.abs(rows, out=pad[:, :L])
+    return pad
+
+
+def _fill(pad: np.ndarray, system: NormSystem
+          ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The interval DP of every row of V = pad[:, :L], a (B, L) stack of
+    absolute coefficients (``_padded``): N[b], kind[b] and each S[g][b]
+    are row b's tables, bit for bit those of a fill of row b alone.  The
+    batch axis leads every table, so each step below serves all rows
+    with one numpy call."""
+    B, L = pad.shape[0], pad.shape[1] // 2
+    V = pad[:, :L]
     # wv[n - 1] divides the n-part sums; wv[0] = 1 passes the sup norm
-    wv = np.array([1.0] + [system.weight(max(n, l0)) for n in range(2, L + 1)])
+    wv = np.concatenate(([1.0], system.weight_table(L)[2:L + 1]))
     groups = [(j0, min(j0 + S_GROUP, L) - 1) for j0 in range(0, L, S_GROUP)]
 
-    N = np.full((L, L), -np.inf)
-    kind = np.zeros((L, L), dtype=np.int16)
-    S = [np.full((j1 - j0 + 1, j1 + 1, j1 + 1), -np.inf) for j0, j1 in groups]
-    # Band views: N_band[i, k] = N[i, i + k] (a row stride of L + 1), so
-    # column ell - 1 is the diagonal of the intervals of length ell and
+    N = np.full((B, L, L), -np.inf)
+    kind = np.zeros((B, L, L), dtype=np.int16)
+    S = [np.full((B, j1 - j0 + 1, j1 + 1, j1 + 1), -np.inf) for j0, j1 in groups]
+    # Band views: N_band[b, i, k] = N[b, i, i + k] (a row stride of L + 1),
+    # so column ell - 1 is the diagonal of the intervals of length ell and
     # its left columns hold the first parts of their splits.
-    N_band = N.reshape(-1)[:L * L - 1].reshape(L - 1, L + 1)
-    kind_band = kind.reshape(-1)[:L * L - 1].reshape(L - 1, L + 1)
-    # rows[i, n - 1] for the current length: S of the interval at start i
-    # with n parts; the buffer fits the largest length, ell about L / 2
-    buf = np.empty(((L + 2) // 2) * ((L + 1) // 2))
+    N_band = N.reshape(B, -1)[:, :L * L - 1].reshape(B, L - 1, L + 1)
+    kind_band = kind.reshape(B, -1)[:, :L * L - 1].reshape(B, L - 1, L + 1)
+    # rows[b, i, n - 1] for the current length: S of the interval at start
+    # i with n parts; the buffer fits the largest length, ell about L / 2
+    buf = np.empty(B * ((L + 2) // 2) * ((L + 1) // 2))
+    # win[b, i, k] = V[b, i + k]: every run's entries, one view per fill;
+    # the zero padding keeps the view in bounds, and no run reads it
+    win = sliding_window_view(pad, L, axis=1)
 
-    N.reshape(-1)[::L + 1] = v
+    N.reshape(B, -1)[:, ::L + 1] = V
     for (j0, j1), plane in zip(groups, S):
-        plane[:, 0, 0] = v[j0:j1 + 1]
-    sup = v                   # sup[i]: largest entry of the interval at i
-    part_count = np.arange(1, L + 1)    # of the scan's winning column
+        plane[:, :, 0, 0] = V[:, j0:j1 + 1]
+    sup = V                   # sup[b, i]: largest entry of the interval at i
+    part_count = np.arange(1, L + 1, dtype=np.int16)    # of the scan's winning column
     part_count[0] = 0                   # the sup-norm leaf
     add_reduce, amax = np.add.reduce, np.maximum.reduce
 
     for ell in range(2, L + 1):
         cnt = L - ell + 1     # starts 0..L-ell, right ends ell-1..L-1
-        first = N_band[:cnt, :ell - 1]
-        rows = buf[:cnt * ell].reshape(cnt, ell)
+        first = N_band[:, :cnt, :ell - 1]
+        rows = buf[:B * cnt * ell].reshape(B, cnt, ell)
         # n >= 2 parts: a first part of length k, then n - 1 parts on the
         # rest, read at length ell - k from the right end's plane; part
         # counts the rest cannot hold read -inf.  Steps of `step` starts
-        # and `span` first-part lengths keep the sum under DP_BATCH.
+        # and `span` first-part lengths keep the sum under DP_BATCH per row.
         step = max(1, DP_BATCH // (ell - 1) ** 2)
         span = min(ell - 1, max(1, DP_BATCH // (ell - 1)))
         live = (ell - 1) // S_GROUP    # first group holding a right end
@@ -326,25 +381,26 @@ def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
             for a in range(max(j0, ell - 1), j1 + 1, step):
                 b = min(a + step, j1 + 1)
                 i0, i1 = a - ell + 1, b - ell + 1
-                out = rows[i0:i1, 1:]
-                rest = plane[a - j0:b - j0, :, :ell - 1]
-                amax(first[i0:i1, :span, None] + rest[:, ell - 2::-1][:, :span],
-                     axis=1, out=out)
+                out = rows[:, i0:i1, 1:]
+                rest = plane[:, a - j0:b - j0, :, :ell - 1]
+                amax(first[:, i0:i1, :span, None] + rest[:, :, ell - 2::-1][:, :, :span],
+                     axis=2, out=out)
                 for k in range(span, ell - 1, span):
-                    np.maximum(out, amax(first[i0:i1, k:k + span, None]
-                                         + rest[:, ell - 2 - k::-1][:, :span], axis=1),
+                    np.maximum(out, amax(first[:, i0:i1, k:k + span, None]
+                                         + rest[:, :, ell - 2 - k::-1][:, :, :span], axis=2),
                                out=out)
 
-        sup = np.maximum(sup[:cnt], v[ell - 1:])
-        rows[:, 0] = sup
-        l1 = np.array([add_reduce(v[i:i + ell]) for i in range(cnt)])
-        kind_band[:cnt, ell - 1] = part_count[_scan_length(rows, l1, wv[:ell])]
-        N_band[:cnt, ell - 1] = rows[:, 0]
+        sup = np.maximum(sup[:, :cnt], V[:, ell - 1:])
+        rows[:, :, 0] = sup
+        l1 = add_reduce(win[:, :cnt, :ell], axis=2)
+        kind_band[:, :cnt, ell - 1] = part_count[
+            _scan_length(rows.reshape(B * cnt, ell), l1.reshape(-1), wv[:ell])].reshape(B, cnt)
+        N_band[:, :cnt, ell - 1] = rows[:, :, 0]
         for (j0, j1), plane in zip(groups[live:], S[live:]):
             a = max(j0, ell - 1)
-            plane[a - j0:, ell - 1, :ell] = rows[a - ell + 1:j1 - ell + 2]
+            plane[:, a - j0:, ell - 1, :ell] = rows[:, a - ell + 1:j1 - ell + 2]
 
-    return IntervalTables(system, x.indices, v, N, S, kind)
+    return N, kind, S
 
 
 def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -438,9 +494,7 @@ class _ConstTables:
             return
         self._grow(L)
         nu, kind, Tl = self.nu, self.kind, self.T.T
-        l0 = self.system.min_parts
-        W = self.system.weight
-        wv = np.array([W(n if n >= l0 else l0) for n in range(L + 1)])
+        wv = self.system.weight_table(L)
         for ln in range(self.filled + 1, L + 1):
             # first piece of length p = 1..ln-1, the rest in n - 1 parts;
             # the row starts at -inf, and chunks of CONST_CHUNK
@@ -568,8 +622,13 @@ def _close(a, b, tol: float):
 
 
 def _weights(system: NormSystem, lo: int, hi: int) -> np.ndarray:
-    """w(ell) for the layers ell = lo..hi."""
-    return np.array([system.weight(ell) for ell in range(lo, hi + 1)])
+    """w(ell) for the layers ell = lo..hi, a slice of the system's weight
+    array.  That array clamps part counts below min_parts, so layers below
+    min_parts (no norm reader starts there) read ``weight`` itself."""
+    l0 = system.min_parts
+    below = [system.weight(ell) for ell in range(lo, min(l0, hi + 1))]
+    w = system.weight_table(hi)[max(lo, l0):hi + 1]
+    return np.concatenate((below, w)) if below else w
 
 
 def _character_scan(value: float, linf: float, c: float, sums: np.ndarray,
@@ -634,6 +693,48 @@ def norm_value(x: FinVector, system: NormSystem = F_SYSTEM, *,
     return value
 
 
+def norm_values(xs: Sequence[FinVector], system: NormSystem = F_SYSTEM, *,
+                guard: int = DEFAULT_SUPPORT_GUARD,
+                memo: Optional[MemoTable] = GLOBAL_MEMO) -> list[float]:
+    """``[norm_value(x, system, guard=guard, memo=memo) for x in xs]``, bit
+    for bit, with one interval DP fill per support size.
+
+    Every vector is planned first, so a guard refuses (with the error
+    ``norm_value`` gives for the first refused vector) before any memo
+    read.  Each distinct key is then read from the memo once; the misses
+    on the flat route read the composition tables, the others are filled
+    as one batch per support size, split into parts whose tables fit
+    ``DP_MEMORY_LIMIT_BYTES``.  The misses are written to the memo in the
+    order ``norm_value`` would write them."""
+    plans = [_plan(x, system, guard) if x.support_size() else None for x in xs]
+    found: dict[tuple[float, ...], float] = {}
+    misses: dict[tuple[float, ...], None] = {}     # the keys, in first-read order
+    batches: dict[int, list[tuple[float, ...]]] = {}
+    for plan in plans:
+        if plan is None or plan[0] in found or plan[0] in misses:
+            continue
+        vabs, c, build = plan
+        hit = None if memo is None else memo.get(system, vabs)
+        if hit is not None:
+            found[vabs] = hit
+            continue
+        misses[vabs] = None
+        if _routes_flat(vabs):
+            found[vabs] = c * build().value()
+        else:
+            batches.setdefault(len(vabs), []).append(vabs)
+    for L, keys in batches.items():
+        part = _check_resources(L, guard, flat=False, B=len(keys))
+        for k0 in range(0, len(keys), part):
+            chunk = keys[k0:k0 + part]
+            N = _fill(_padded(chunk, L), system)[0]
+            found.update(zip(chunk, N[:, 0, L - 1].tolist()))
+    if memo is not None:
+        for vabs in misses:
+            memo.put(system, vabs, found[vabs])
+    return [0.0 if plan is None else found[plan[0]] for plan in plans]
+
+
 def best_sum(x: FinVector, k: int, system: NormSystem = F_SYSTEM, *,
              guard: int = DEFAULT_SUPPORT_GUARD) -> float:
     """Max over partitions into at most k nonempty-projection interval
@@ -669,6 +770,8 @@ def tail_layer_norm(x: FinVector, r: float, system: NormSystem = F_SYSTEM, *,
     saturates while the weight grows), so the scan stops at the support
     size or at ceil(r), whichever is larger."""
     lo = max(2, system.min_parts)
+    if not math.isfinite(r):
+        raise DomainError(f"layer threshold r must be finite, got {r}")
     if r < lo:
         raise DomainError(f"layer threshold r must be >= {lo}")
     L = x.support_size()

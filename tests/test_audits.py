@@ -229,6 +229,11 @@ class TestRefinementMargin:
         with pytest.raises(DomainError, match="hypothesis"):
             refinement_margin(FinVector.basis(1), 2.0, 1.1)
 
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_non_finite_threshold_refused(self, r):
+        with pytest.raises(DomainError, match="finite"):
+            refinement_margin(FinVector.from_dense([1.0, 0.5, 0.7]), r, 0.5)
+
     def test_threshold_beyond_support_refused(self):
         # the layers at and beyond ceil(r) fall under the sup norm here
         with pytest.raises(DomainError, match="hypothesis"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from implicitnorm import (BlockSequence, DomainError, F_SYSTEM, FinVector,
+from implicitnorm import (BlockSequence, blocks, DomainError, F_SYSTEM, FinVector,
                           G_SYSTEM, NotEquivalentOnFamilyError, SplitProfile,
                           engine, log2_affine_system,
                           average_split_experiment, build_projection,
@@ -398,6 +398,50 @@ class TestStabilize:
         level2 = states[1]
         kinds = {i % 2 for i in level2.members}
         assert len(kinds) == 1             # one shape class survives
+
+    def test_carried_windows_keep_results_and_add_no_fill(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        fam = BlockSequence(normalized(FinVector.from_dense(
+            list(1.0 + rng.uniform(-0.1, 0.1, 24)), start=1 + 24 * k)) for k in range(6))
+        schedule = [1.0, 0.5, 0.3]
+        build_tables, calls = engine.build_tables, []
+        monkeypatch.setattr(engine, "build_tables",
+                            lambda *a, **k: calls.append(a) or build_tables(*a, **k))
+        chosen, states = stabilize_subsequence(fam, schedule)
+        carried = len(calls)
+
+        split = blocks._greedy_split
+        monkeypatch.setattr(blocks, "_greedy_split",
+                            lambda y, eps, system, tol, guard, window:
+                            split(y, eps, system, tol, guard, None))
+        calls.clear()
+        fresh_chosen, fresh_states = stabilize_subsequence(fam, schedule)
+        assert chosen == fresh_chosen
+        assert [st.to_jsonable() for st in states] == \
+            [st.to_jsonable() for st in fresh_states]
+        assert [{i: p.to_jsonable() for i, p in st.profiles.items()} for st in states] == \
+            [{i: p.to_jsonable() for i, p in st.profiles.items()} for st in fresh_states]
+        assert carried < len(calls)
+
+    @pytest.mark.parametrize("y,eps_pair", [
+        (FinVector.from_dense([0.3, 1.0, -0.7, 0.9, 0.2] * 6).scale(0.25), (0.5, 0.25)),
+        (FinVector.from_dense([0.3, 1.0, -0.7, 0.9, 0.2] * 6).scale(0.25), (0.25, 1.0)),
+        (normalized(ones(40)), (0.25, 0.5)),
+        (FinVector.from_dense([1.0] * 70 + [0.5] + [1.0] * 90).scale(1 / 12), (1.0, 0.5)),
+    ], ids=["finer", "coarser", "flat40", "flat-dip-flat"])
+    def test_carried_window_reads_equal_a_fresh_split(self, monkeypatch, y, eps_pair):
+        build_tables, calls = engine.build_tables, []
+        monkeypatch.setattr(engine, "build_tables",
+                            lambda *a, **k: calls.append(a) or build_tables(*a, **k))
+        first, second = eps_pair
+        tol, guard = engine.DEFAULT_TOLERANCE, engine.DEFAULT_SUPPORT_GUARD
+        _, window = blocks._greedy_split(y, first, F_SYSTEM, tol, guard, None)
+        calls.clear()
+        prof, _ = blocks._greedy_split(y, second, F_SYSTEM, tol, guard, window)
+        with_window = len(calls)
+        calls.clear()
+        assert prof.to_jsonable() == greedy_split(y, second).to_jsonable()
+        assert with_window <= len(calls)
 
     def test_depth_exceeding_family(self):
         fam = self._flat_family(count=3)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -197,10 +198,43 @@ class TestAuditCommands:
         data = json.loads(out)
         assert data["lhs"] == pytest.approx(4 / math.log2(5), rel=1e-12)
 
+    @pytest.mark.parametrize("r", ["inf", "-inf", "nan"])
+    def test_pente_non_finite_threshold_exit_2(self, r):
+        code, out, err = run_cli("audit", "pente", f"--r={r}", "--d", "0.5",
+                                 '{"dense":[1,0.5,0.7]}')
+        assert code == 2 and out == ""
+        assert "input error" in err and "finite" in err
+
     def test_pente_gate_exit_2(self):
         code, _, err = run_cli("audit", "pente", "--r", "2", "--d", "1.1",
                                '{"dense":[1]}')
         assert code == 2
+
+
+def _pin_blocks():
+    """Four flat blocks of F norm 1, lengths 5, 3, 6, 4, with gaps."""
+    out, start = [], 1
+    for n, gap in ((5, 2), (3, 0), (6, 3), (4, 1)):
+        a = math.log2(n + 1) / n
+        out.append({"coords": [[start + i, a] for i in range(n)]})
+        start += n + gap
+    return json.dumps(out)
+
+
+class TestStdoutPins:
+    """sha256 of stdout recorded when these commands still normed one
+    vector per call; batching their norms must not change a byte."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("audit", "gnorm", "--cases", "300", "--seed", "7"),
+         "b906cd81f857c2085032635737444da41a46aed2f48223e934d971bfee1c5544"),
+        (("seq", "project", "--samples", "70", "--seed", "7", _pin_blocks()),
+         "f0d5bf2fd85648104ca2097a68c07f67d74c0a4a2577e37df0c1d552e21043b3"),
+    ], ids=["audit-gnorm", "seq-project"])
+    def test_stdout_digest(self, argv, digest):
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestConfigAndCache:

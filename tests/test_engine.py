@@ -13,7 +13,7 @@ from implicitnorm import (DomainError, EngineCheckError, F_SYSTEM, G_SYSTEM,
                           best_sum, brute_norm, build_tables, character,
                           constant_best_sum, constant_vector_norm, engine,
                           layer_norm, log2_affine_system, norm, norm_value,
-                          norming_functional, refinement_margin,
+                          norm_values, norming_functional, refinement_margin,
                           tail_layer_norm)
 from implicitnorm.engine import dp_table_bytes
 from conftest import random_vector
@@ -130,6 +130,11 @@ class TestBestSumAndLayers:
             assert tail_layer_norm(FinVector.basis(5), r) == 1.0
         with pytest.raises(DomainError):
             tail_layer_norm(ones(2), 1.5)
+
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_tail_layer_non_finite_threshold(self, r):
+        with pytest.raises(DomainError, match="finite"):
+            tail_layer_norm(ones(3), r)
 
     def test_norm_is_sup_of_layers(self):
         rng = np.random.default_rng(7)
@@ -809,6 +814,107 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak <= self.PER_RIGHT_END_PEAK
+
+
+def _batch_vector(rng, L, kind):
+    """Support L with gaps of 1..3: random, quarter-rounded (exact ties
+    between splits) or near-flat (a few ulps off one value) coefficients."""
+    idx = 1 + np.cumsum(rng.integers(1, 4, L))
+    vals = {"random": rng.uniform(0.05, 2.0, L) * rng.choice((-1.0, 1.0), L),
+            "rounded": rng.integers(1, 9, L) * 0.25,
+            "near_flat": 1.0 + rng.integers(0, 3, L) * 2.0 ** -50}[kind]
+    return FinVector(zip(map(int, idx), map(float, vals)))
+
+
+class TestBatchedFill:
+    """One fill over a stack of vectors gives every row the tables of a
+    fill of that vector alone, bit for bit."""
+
+    @given(st.integers(1, 8), st.integers(1, 40),
+           st.sampled_from(["random", "rounded", "near_flat"]),
+           st.sampled_from([F_SYSTEM, G_SYSTEM]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_rows_match_single_fills(self, B, L, kind, system, seed):
+        rng = np.random.default_rng(seed)
+        xs = [_batch_vector(rng, L, kind) for _ in range(B)]
+        N, kinds, S = engine._fill(engine._padded([x.values for x in xs], L), system)
+        for b, x in enumerate(xs):
+            one = build_tables(x, system)
+            row = engine.IntervalTables(system, x.indices, one.vabs, N[b],
+                                        [plane[b] for plane in S], kinds[b])
+            assert N[b].tobytes() == one.N.tobytes()
+            assert kinds[b].tobytes() == one.kind.tobytes()
+            assert all(row.sums(i, j).tobytes() == one.sums(i, j).tobytes()
+                       for i in range(L) for j in range(i, L))
+
+
+class TestNormValues:
+    """``norm_values`` against the ``norm_value`` loop it replaces."""
+
+    @staticmethod
+    def _vectors():
+        rng = np.random.default_rng(11)
+        xs = [random_vector(rng, max_support=12) for _ in range(40)]
+        xs += [_batch_vector(rng, 9, kind) for kind in ("random", "rounded", "near_flat")]
+        return xs + [FinVector([]), xs[3], xs[3].scale(-1.0),
+                     xs[7].spread(lambda i: 2 * i + 1), FinVector([]),
+                     ones(65), ones(70).scale(-0.5), ones(70), ones(64),
+                     FinVector.from_dense([1.0] * 69 + [0.5])]
+
+    @pytest.mark.parametrize("system", [F_SYSTEM, G_SYSTEM], ids=["f", "g"])
+    def test_matches_norm_value_loop(self, system):
+        xs = self._vectors()
+        loop_memo, batch_memo = MemoTable(), MemoTable()
+        want = np.array([norm_value(x, system, memo=loop_memo) for x in xs])
+        got = norm_values(xs, system, memo=batch_memo)
+        assert np.array(got).tobytes() == want.tobytes()
+        assert list(batch_memo._data.items()) == list(loop_memo._data.items())
+        assert np.array(norm_values(xs, system, memo=None)).tobytes() == want.tobytes()
+        # a second call reads every value from the memo
+        assert np.array(norm_values(xs, system, memo=batch_memo)).tobytes() == want.tobytes()
+        assert norm_values([], system) == []
+
+    @pytest.mark.parametrize("limit", [None, dp_table_bytes(8)], ids=["guard", "memory"])
+    def test_refusal_matches_norm_value(self, monkeypatch, limit):
+        xs = self._vectors()
+        if limit is not None:
+            monkeypatch.setattr(engine, "DP_MEMORY_LIMIT_BYTES", limit)
+        guard = 4096 if limit else 8
+        with pytest.raises(SupportGuardError) as want:
+            for x in xs:
+                norm_value(x, guard=guard, memo=None)
+        memo = MemoTable()
+        for x in xs:        # the refusal comes before any memo read
+            if x.support_size():
+                memo.put(F_SYSTEM, tuple(abs(v) for v in x.values), 1.0)
+        entries = len(memo)
+        with pytest.raises(SupportGuardError) as got:
+            norm_values(xs, guard=guard, memo=memo)
+        assert str(got.value) == str(want.value)
+        assert len(memo) == entries
+
+    def test_batch_split_keeps_values(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        xs = [_batch_vector(rng, 12, "random") for _ in range(10)]
+        want = np.array([norm_value(x, memo=None) for x in xs])
+        monkeypatch.setattr(engine, "DP_MEMORY_LIMIT_BYTES", 3 * dp_table_bytes(12))
+        fill, parts = engine._fill, []
+        monkeypatch.setattr(engine, "_fill",
+                            lambda pad, system: parts.append(len(pad)) or fill(pad, system))
+        assert np.array(norm_values(xs, memo=None)).tobytes() == want.tobytes()
+        assert parts == [3, 3, 3, 1]
+
+
+class TestWeightTable:
+    @pytest.mark.parametrize("system", [F_SYSTEM, G_SYSTEM,
+                                        log2_affine_system("a", 4, 1.5, 0.75)],
+                             ids=["f", "g", "affine"])
+    def test_entries_are_the_scalar_weights(self, system):
+        w = system.weight_table(5)
+        assert len(w) >= 6
+        w = system.weight_table(300)
+        assert [float(v) for v in w[:301]] == \
+            [system.weight(max(n, system.min_parts)) for n in range(301)]
 
 
 class TestMemoAndDeterminism:
