@@ -45,10 +45,13 @@ may take, so every part's tables stay under the memory limit.  Small
 fills are almost all fixed cost, which a batch pays once.
 ``_plan`` is the one route decision of every reader: bitwise-constant
 vectors take a composition DP over lengths instead, which reaches the
-support guard (4096); both routes' tables answer ``value()``,
-``layer_sums()`` and ``witness()``.  Both record each interval's winning
-part count as they fill, so one walk, ``_witness``, reads the witness
-from either route's tables.  ``_plan`` runs the one guard and
+support guard (4096).  It fills each length only with the part counts
+that can still decide the norm, and readers add more on demand
+(``_ConstTables``).  Both routes' tables answer ``value()``,
+``layer_sums(k)`` and ``witness()``; ``norm`` scans character layers up
+to the winning part count before it scans them all.  Both routes record
+each interval's winning part count as they fill, so one walk,
+``_witness``, reads the witness from either route's tables.  ``_plan`` runs the one guard and
 memory check, ``_check_resources``, before any memo read.  Its route
 rule, ``_routes_flat``, is also what ``greedy_split`` applies to the
 segments it would otherwise read from a shared window table.
@@ -92,9 +95,10 @@ DP_MEMORY_LIMIT_BYTES = 1 << 30
 # Bitwise-constant vectors larger than this route through the
 # length-composition fast path instead of the full DP.
 CONSTANT_ROUTE_MIN = 65
-# First-piece lengths per vectorized step of the composition DP: bounds
-# its temporary to CONST_CHUNK rows of the table (about 260 KB at 1016).
-CONST_CHUNK = 32
+# Elements of the add temporary of one vectorized step of the composition
+# DP (256 KB): a step takes as many first pieces as fit beside the part
+# counts their remainders can hold, so narrow rows take more per step.
+CONST_BUDGET = 1 << 15
 # Right ends whose S planes share one 3-D array, so that one batched fill
 # step reads a plain slice over up to S_GROUP consecutive starts.  Larger
 # groups batch more starts but pad more planes (each is sized for the
@@ -268,10 +272,10 @@ class IntervalTables:
         return np.concatenate([self.S[g][p:, ell - 1, :ell]]
                               + [plane[:, ell - 1, :ell] for plane in self.S[g + 1:]])
 
-    def layer_sums(self) -> np.ndarray:
+    def layer_sums(self, k: Optional[int] = None) -> np.ndarray:
         """Running max of the whole support's sums: entry k - 1 is the
-        best sum over at most k parts."""
-        return np.maximum.accumulate(self.sums(0, self.size - 1))
+        best sum over at most k parts, for the first k (all when None)."""
+        return np.maximum.accumulate(self.sums(0, self.size - 1)[:k])
 
     def witness(self) -> WitnessTree:
         return _witness(self, 0, self.size - 1)
@@ -459,12 +463,19 @@ class _ConstTables:
         nu[len]    norm of the unit constant vector of that length
         kind[len]  its winning part count, 0 when the sup norm wins
         T[n, len]  best sum of piece norms over compositions of len
-                   into exactly n parts.
+                   into exactly n parts, for n = 1..rows[len].
+
+    New lengths get part counts up to ``row_cap``, which doubles while
+    the missing ones of some length could still win (``_band``); readers
+    raise one length's rows through ``ensure``.  Rows past ``rows[len]``
+    hold -inf and are never read.
     """
 
     def __init__(self, system: NormSystem):
         self.system = system
         self.filled = 1
+        self.row_cap = 2
+        self.rows = [1, 1]
         self.nu = np.zeros(2)
         self.nu[1] = 1.0
         self.kind = np.zeros(2, dtype=np.int64)
@@ -488,28 +499,63 @@ class _ConstTables:
         kind = np.zeros(new_cap + 1, dtype=np.int64)
         kind[: cap + 1] = self.kind
         self.T, self.nu, self.kind = Tl.T, nu, kind
+        self.rows += [1] * (new_cap - cap)
 
-    def ensure(self, L: int) -> None:
-        if L <= self.filled:
-            return
+    def ensure(self, L: int, k: int = 1) -> None:
+        """Fill every length up to L, and at length L at least min(k, L)
+        part counts.  A raise at least doubles the rows at L, so readers
+        that step k up one at a time pay O(log L) fills."""
         self._grow(L)
-        nu, kind, Tl = self.nu, self.kind, self.T.T
+        while self.filled < L:
+            self._band(L, self.row_cap)
+            if self.filled < L:
+                self.row_cap *= 2
+        if self.rows[L] < min(k, L):
+            self._band(L, min(L, max(k, 2 * self.rows[L])))
+
+    def _band(self, L: int, cap: int) -> None:
+        """The one fill kernel.  Lengths 2..L, in order, get the part
+        counts n = rows[len] + 1..min(len, cap); a length past ``filled``
+        then gets nu and kind, unless a part count it lacks could still
+        win or tie, where the fill stops for the caller to raise the cap.
+
+        T[n, len] is the max over first pieces p of nu[p] + T[n - 1, len - p].
+        A remainder of len - p coordinates holds at most len - p parts, so
+        piece p reads part counts up to len - p + 1 only.  In floats
+        T[n, len] <= len (nu[p] <= p, the pieces sum to len, and rounding
+        is monotone), so once len over the smallest weight of the missing
+        part counts falls below the incumbent max(1, q), none of them can
+        win or tie: nu and kind are those of a fill of every part count.
+        The bound needs every weight read to exceed 1, which ``NormSystem``
+        does not check, so a system that breaks it fills every part count.
+        """
+        nu, kind, Tl, rows = self.nu, self.kind, self.T.T, self.rows
         wv = self.system.weight_table(L)
-        for ln in range(self.filled + 1, L + 1):
-            # first piece of length p = 1..ln-1, the rest in n - 1 parts;
-            # the row starts at -inf, and chunks of CONST_CHUNK
-            # first-piece lengths bound the temporary
-            sums = Tl[ln, 2:ln + 1]
-            for p0 in range(1, ln, CONST_CHUNK):
-                p1 = min(p0 + CONST_CHUNK, ln)
-                np.maximum(sums, np.max(nu[p0:p1, None]
-                                        + Tl[ln - p0:ln - p1:-1, 1:ln], axis=0),
-                           out=sums)
-            q = sums / wv[2:ln + 1]
+        sound = wv[2:L + 1].min() > 1.0
+        for ln in range(2, L + 1):
+            n0, n1 = rows[ln] + 1, min(ln, cap)
+            if n0 <= n1:
+                sums = Tl[ln, n0:n1 + 1]    # -inf until filled
+                p0, stop = 1, ln - n0 + 2
+                while p0 < stop:
+                    m = min(n1, ln - p0 + 1) - n0 + 1     # part counts piece p0 can reach
+                    p1 = min(stop, p0 + max(1, CONST_BUDGET // m))
+                    np.maximum(sums[:m], np.max(nu[p0:p1, None]
+                                                + Tl[ln - p0:ln - p1:-1, n0 - 1:n0 - 1 + m],
+                                                axis=0), out=sums[:m])
+                    p0 = p1
+                rows[ln] = n1
+            if ln <= self.filled:
+                continue
+            r = rows[ln]
+            q = Tl[ln, 2:r + 1] / wv[2:r + 1]
             a = int(np.argmax(q))
+            best = max(1.0, float(q[a]))
+            if r < ln and not (sound and ln / wv[r + 1:ln + 1].min() < best):
+                return
             kind[ln] = a + 2 if q[a] > 1.0 else 0
-            nu[ln] = Tl[ln, 1] = max(1.0, float(q[a]))
-        self.filled = L
+            nu[ln] = Tl[ln, 1] = best
+            self.filled = ln
 
 
 _CONST_TABLES: dict[NormSystem, _ConstTables] = {}
@@ -530,10 +576,13 @@ class _FlatTables:
     def value(self) -> float:
         return float(self.tab.nu[len(self.indices)])
 
-    def layer_sums(self) -> np.ndarray:
-        """Entry k - 1 is the best sum over at most k parts."""
+    def layer_sums(self, k: Optional[int] = None) -> np.ndarray:
+        """Entry k - 1 is the best sum over at most k parts, for the
+        first k (all when None) part counts; fills the rows it reads."""
         L = len(self.indices)
-        return np.maximum.accumulate(self.tab.T[1:L + 1, L])
+        k = L if k is None else min(k, L)
+        self.tab.ensure(L, k)
+        return np.maximum.accumulate(self.tab.T[1:k + 1, L])
 
     def witness(self) -> WitnessTree:
         return _witness(self, 0, len(self.indices) - 1)
@@ -565,8 +614,8 @@ def constant_best_sum(system: NormSystem, length: int, coefficient: float, k: in
     if length < 1 or k < 1:
         raise DomainError("length and k must be >= 1")
     _check_resources(length, guard, flat=True)
-    sums = _FlatTables(system, range(length)).layer_sums()
-    return abs(coefficient) * float(sums[min(k, length) - 1])
+    sums = _FlatTables(system, range(length)).layer_sums(k)
+    return abs(coefficient) * float(sums[-1])
 
 
 def _routes_flat(vabs: tuple[float, ...]) -> bool:
@@ -670,8 +719,13 @@ def norm(x: FinVector, system: NormSystem = F_SYSTEM, *,
     if not abs(check - value) <= WITNESS_CHECK_RTOL * value:
         raise EngineCheckError(
             f"witness evaluates to {check!r} but the norm is {value!r}")
-    char, tie = _character_scan(value, max(vabs), c, tables.layer_sums(), system,
-                                max(2, system.min_parts), tol)
+    # the layer at the winning part count is a hit but for rounding, so
+    # scan up to it first; a sup-norm win, or a miss there, scans them all
+    lo, linf, won = max(2, system.min_parts), max(vabs), tables._parts(0, L - 1)
+    sums = tables.layer_sums(max(lo, won) if won else None)
+    char, tie = _character_scan(value, linf, c, sums, system, lo, tol)
+    if math.isinf(char) and len(sums) < L:
+        char, tie = _character_scan(value, linf, c, tables.layer_sums(), system, lo, tol)
     return NormResult(value, witness, char, tie, system.name)
 
 
@@ -746,7 +800,7 @@ def best_sum(x: FinVector, k: int, system: NormSystem = F_SYSTEM, *,
     if L == 0:
         return 0.0
     _, c, build = _plan(x, system, guard)
-    return c * float(build().layer_sums()[min(k, L) - 1])
+    return c * float(build().layer_sums(k)[-1])
 
 
 def layer_norm(x: FinVector, ell: int, system: NormSystem = F_SYSTEM, *,

@@ -221,16 +221,28 @@ def _pin_blocks():
     return json.dumps(out)
 
 
+_FLAT_1016 = json.dumps({"dense": [1] * 1016})
+
+
 class TestStdoutPins:
     """sha256 of stdout recorded when these commands still normed one
-    vector per call; batching their norms must not change a byte."""
+    vector per call, and when the composition DP still filled every part
+    count of every length; neither batching nor the band fill may change
+    a byte."""
 
     @pytest.mark.parametrize("argv,digest", [
         (("audit", "gnorm", "--cases", "300", "--seed", "7"),
          "b906cd81f857c2085032635737444da41a46aed2f48223e934d971bfee1c5544"),
         (("seq", "project", "--samples", "70", "--seed", "7", _pin_blocks()),
          "f0d5bf2fd85648104ca2097a68c07f67d74c0a4a2577e37df0c1d552e21043b3"),
-    ], ids=["audit-gnorm", "seq-project"])
+        (("norm", "--system", "g", "--witness", "--character", _FLAT_1016),
+         "0c5c47a616e8b491fde8dbee08365aa7dc057edad9f20cafc9fc4bfa0917c84b"),
+        (("norm", "--system", "f", "--witness", "--character", _FLAT_1016),
+         "712845300e83adca8f1a13f546bd0b084a3f5e8ba405affae51fcf800ba49917"),
+        (("audit", "lemma-duo", "--eps", "1", "--l", "2", "--m", "8", "--nlen", "127"),
+         "5fb33e29756040d4e41608daafd1fea216778f43cae2af98749fed9e6feb8b76"),
+    ], ids=["audit-gnorm", "seq-project", "norm-g-flat1016", "norm-f-flat1016",
+            "audit-lemma-duo"])
     def test_stdout_digest(self, argv, digest):
         code, out, _ = run_cli(*argv)
         assert code == 0

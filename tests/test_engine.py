@@ -303,6 +303,176 @@ class TestConstantFastPath:
         assert r.value >= norm_value(x) - 1e-9
 
 
+H_SYSTEM = log2_affine_system("h", 2, 1.5, 0.75)
+_CONST_REFERENCE: dict = {}
+
+
+def _const_reference(system, L):
+    """The per-length loop that the band kernel replaced, kept as a
+    reference and run once per system: every part count of every length
+    up to L, from fresh tables.  Returns nu, kind and T stored [len, n]."""
+    key = (system, L)
+    if key not in _CONST_REFERENCE:
+        nu, kind = np.zeros(L + 1), np.zeros(L + 1, dtype=np.int64)
+        Tl = np.full((L + 1, L + 1), -np.inf)
+        nu[1] = Tl[1, 1] = 1.0
+        wv = system.weight_table(L)
+        for ln in range(2, L + 1):
+            sums = Tl[ln, 2:ln + 1]
+            for p0 in range(1, ln, 32):
+                p1 = min(p0 + 32, ln)
+                np.maximum(sums, np.max(nu[p0:p1, None] + Tl[ln - p0:ln - p1:-1, 1:ln],
+                                        axis=0), out=sums)
+            q = sums / wv[2:ln + 1]
+            a = int(np.argmax(q))
+            kind[ln] = a + 2 if q[a] > 1.0 else 0
+            nu[ln] = Tl[ln, 1] = max(1.0, float(q[a]))
+        _CONST_REFERENCE[key] = nu, kind, Tl
+    return _CONST_REFERENCE[key]
+
+
+def _assert_const_matches_reference(system):
+    """nu and kind of every filled length, and every part count the
+    per-length row count says is filled, bitwise the reference's; the
+    rows past that count hold -inf."""
+    tab = engine._CONST_TABLES[system]
+    nu, kind, Tl = _const_reference(system, 1016)
+    top = tab.filled + 1
+    assert tab.nu[:top].tobytes() == nu[:top].tobytes()
+    assert tab.kind[:top].tobytes() == kind[:top].tobytes()
+    for ln in range(1, top):
+        r = tab.rows[ln]
+        assert tab.T[1:r + 1, ln].tobytes() == Tl[ln, 1:r + 1].tobytes(), ln
+        assert np.all(tab.T[r + 1:, ln] == -np.inf), ln
+
+
+def _reference_layer_sums(system, L):
+    return np.maximum.accumulate(_const_reference(system, 1016)[2][L, 1:L + 1])
+
+
+@pytest.fixture
+def fresh_const_tables(monkeypatch):
+    monkeypatch.setattr(engine, "_CONST_TABLES", {})
+
+
+@pytest.mark.usefixtures("fresh_const_tables")
+class TestCompositionBand:
+    """The band kernel against the per-length loop it replaced, from
+    fresh tables, for each order in which readers raise rows: nu, kind
+    and every layer sum a reader reaches must be the loop's, bit for bit."""
+
+    SYSTEMS = [F_SYSTEM, G_SYSTEM, H_SYSTEM]
+
+    def _assert_norm(self, L, system):
+        x = ones(L).scale(0.3)
+        r = norm(x, system)
+        nu = _const_reference(system, 1016)[0]
+        assert r.value == 0.3 * nu[L]
+        lo = max(2, system.min_parts)
+        assert (r.character, r.character_tie) == engine._character_scan(
+            r.value, 0.3, 0.3, _reference_layer_sums(system, L), system, lo,
+            engine.DEFAULT_TOLERANCE)
+
+    def _assert_best_sums(self, L, system):
+        want = _reference_layer_sums(system, L)
+        for k in range(1, L + 1):
+            assert constant_best_sum(system, L, 1.0, k) == want[k - 1], k
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+    def test_norm_then_best_sums(self, system):
+        self._assert_norm(1016, system)
+        self._assert_best_sums(300, system)
+        _assert_const_matches_reference(system)
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+    def test_best_sums_then_norm(self, system):
+        self._assert_best_sums(300, system)
+        self._assert_norm(1016, system)
+        _assert_const_matches_reference(system)
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+    def test_full_readers_after_capped_fill(self, system):
+        constant_vector_norm(system, 1016, 1.0)
+        for L in (70, 300):
+            want = _reference_layer_sums(system, L)
+            for k in (1, 2, 3, 7, 64, 129, L, L + 5):
+                assert best_sum(ones(L), k, system) == want[min(k, L) - 1], (L, k)
+            for r in (3, 4.5, 40, L, 2 * L):
+                assert tail_layer_norm(ones(L), r, system) == \
+                    engine._tail_layer(1.0, 1.0, want, r, system), (L, r)
+        _assert_const_matches_reference(system)
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+    def test_growth_across_grow_boundaries(self, system):
+        constant_vector_norm(system, 70, 1.0)
+        assert constant_best_sum(system, 70, 1.0, 40) == \
+            _reference_layer_sums(system, 70)[39]
+        tab = engine._CONST_TABLES[system]
+        for L in (100, 141, 283):       # capacity 70, then 140, 280, 560
+            self._assert_norm(L, system)
+            assert tab.T.shape[0] - 1 >= L
+        _assert_const_matches_reference(system)
+
+    def test_row_raises_amortized(self, monkeypatch):
+        calls = []
+        band = engine._ConstTables._band
+        monkeypatch.setattr(engine._ConstTables, "_band",
+                            lambda self, L, cap: calls.append(cap) or band(self, L, cap))
+        want = _reference_layer_sums(G_SYSTEM, 1016)
+        got = [constant_best_sum(G_SYSTEM, 1016, 1.0, k) for k in range(1, 1017)]
+        assert np.array(got).tobytes() == want.tobytes()
+        # the cap doubles from 2 while extending, then the rows at 1016 at
+        # least double per raise: O(log L) calls, not one per k
+        assert len(calls) <= 2 * math.ceil(math.log2(1016)), calls
+        _assert_const_matches_reference(G_SYSTEM)
+
+    def test_g_fill_stops_short_of_full_rows(self):
+        constant_vector_norm(G_SYSTEM, 1016, 1.0)
+        assert engine._CONST_TABLES[G_SYSTEM].rows[1016] < 1016
+        _assert_const_matches_reference(G_SYSTEM)
+
+    def test_weights_at_most_one_fill_every_part_count(self):
+        # a weight below 1 breaks the bound T[n, len] <= len that the
+        # dead-row test rests on, so every part count must be filled even
+        # where the later weights alone would let the test stop the fill
+        odd = engine.NormSystem("odd", 2, lambda n: {2: 1.5, 3: 1.6, 4: 0.95}.get(n, 2.0 + n))
+        L = 120
+        constant_vector_norm(odd, L, 1.0)
+        tab = engine._CONST_TABLES[odd]
+        nu, kind, Tl = _const_reference(odd, L)
+        assert tab.nu[:L + 1].tobytes() == nu.tobytes()
+        assert tab.kind[:L + 1].tobytes() == kind.tobytes()
+        assert tab.rows[L] == L
+
+
+class TestCharacterPrefixScan:
+    """``norm`` scans layers up to the winning part count first; its
+    character and tie flag must be those of a scan over every layer."""
+
+    CASES = {
+        "flat-f": (ones(70).scale(0.3), F_SYSTEM),
+        "flat-g": (ones(300).scale(0.7), G_SYSTEM),
+        # at tol = 0 rounding makes the layer at the winning count miss
+        "flat-g-miss": (ones(72).scale(0.3), G_SYSTEM),
+        "flat-h": (ones(90), H_SYSTEM),
+        "random-f": (random_vector(np.random.default_rng(5), 12), F_SYSTEM),
+        "random-g": (random_vector(np.random.default_rng(6), 12), G_SYSTEM),
+        "sup-win": (FinVector.from_dense([3.0, 0.2, 0.2, 0.1]), F_SYSTEM),
+        "tie": (FinVector.from_dense([1.0, math.log2(3.0) - 1.0]), F_SYSTEM),
+        "near-tie": (FinVector.from_dense([1.0, math.log2(3.0) - 1.0 + 1e-12]), F_SYSTEM),
+    }
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-9, 1e-3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_layer_scan(self, case, tol):
+        x, system = self.CASES[case]
+        r = norm(x, system, tol=tol)
+        vabs, c, build = engine._plan(x, system, engine.DEFAULT_SUPPORT_GUARD)
+        want = engine._character_scan(r.value, max(vabs), c, build().layer_sums(), system,
+                                      max(2, system.min_parts), tol)
+        assert (r.character, r.character_tie) == want
+
+
 class TestWitnessAndFunctional:
     def test_pair_functional_structure(self):
         phi = norming_functional(ones(2))
