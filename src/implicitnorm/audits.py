@@ -11,7 +11,6 @@ form never does.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -113,6 +112,7 @@ def _chunked_min(margins: np.ndarray, workers: int) -> tuple[float, int]:
     if workers <= 1 or flat.size < 1024:
         idx = int(np.argmin(flat))
         return float(flat[idx]), idx
+    from concurrent.futures import ThreadPoolExecutor
     chunks = np.array_split(np.arange(flat.size), workers)
     def one(sel):
         local = int(np.argmin(flat[sel]))

@@ -95,6 +95,18 @@ class TestSeqCommands:
         assert code == 0
         assert json.loads(out)["equivalence_constant"] == 1.0
 
+    def test_equiv_not_equivalent_on_family_exit_2(self, tmp_path):
+        # 1e-200 * 1e-200 underflows, so the xs combination is zero and the
+        # ys combination is not: NotEquivalentOnFamilyError, a DomainError
+        xp, yp = tmp_path / "xs.json", tmp_path / "ys.json"
+        xp.write_text(json.dumps([{"coords": [[1, 1e-200]]}]))
+        yp.write_text(json.dumps([{"coords": [[2, 1.0]]}]))
+        code, out, err = run_cli("seq", "equiv", "--coeffs", "[[1e-200]]",
+                                 f"@{xp}", f"@{yp}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: not equivalent on family")
+
     def test_lemma_duo_guard_exit_3(self):
         code, _, err = run_cli("--guard", "512", "audit", "lemma-duo",
                                "--eps", "1", "--l", "2", "--m", "8",
@@ -291,6 +303,23 @@ class TestConfigAndCache:
         data = json.loads(rec.read_text())
         assert data["engine_version"]
         assert data["exit_code"] == 0
+
+    def test_record_digests(self, tmp_path):
+        vec = tmp_path / "v.json"
+        vec.write_bytes(b'{"dense": [1, 1]}')
+        rec = tmp_path / "run.json"
+        argv = ["--record", str(rec), "norm", f"@{vec}"]
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        inputs = hashlib.sha256()
+        for token in argv:
+            inputs.update(token.encode() + b"\x00")
+        inputs.update(vec.read_bytes())     # the @file token is the last
+        data = json.loads(rec.read_text())
+        assert data["command"] == argv
+        assert data["inputs_digest"] == inputs.hexdigest()
+        assert data["outputs_digest"] == hashlib.sha256(
+            out.removesuffix("\n").encode()).hexdigest()
 
 
 class TestDeterminism:
