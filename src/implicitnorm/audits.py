@@ -105,27 +105,6 @@ def default_nu_grid() -> np.ndarray:
     return np.exp2(np.arange(0, 16 * 4 + 1) / 4)
 
 
-def _chunked_min(margins: np.ndarray, workers: int) -> tuple[float, int]:
-    """Deterministic (min, first argmin) reduction, chunked so batch
-    audits can fan out; the reduction order is fixed by chunk index."""
-    flat = margins.ravel()
-    if workers <= 1 or flat.size < 1024:
-        idx = int(np.argmin(flat))
-        return float(flat[idx]), idx
-    from concurrent.futures import ThreadPoolExecutor
-    chunks = np.array_split(np.arange(flat.size), workers)
-    def one(sel):
-        local = int(np.argmin(flat[sel]))
-        return float(flat[sel][local]), int(sel[local])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, chunks))
-    best_val, best_idx = results[0]
-    for val, idx in results[1:]:
-        if val < best_val:
-            best_val, best_idx = val, idx
-    return best_val, best_idx
-
-
 def _require_grid(name: str, grid: np.ndarray) -> np.ndarray:
     if grid.size == 0:
         raise DomainError(f"empty grid for {name}")
@@ -133,30 +112,30 @@ def _require_grid(name: str, grid: np.ndarray) -> np.ndarray:
 
 
 def _report(name: str, grid_desc: str, margins: np.ndarray,
-            axes: tuple[np.ndarray, ...], workers: int = 1) -> AuditReport:
+            axes: tuple[np.ndarray, ...]) -> AuditReport:
     """The minimum margin and its grid point: axis k of ``margins`` runs
     over ``axes[k]``."""
     if margins.size == 0:
         raise DomainError(f"empty grid for {name}")
-    mval, idx = _chunked_min(margins, workers)
+    idx = int(np.argmin(margins))
+    mval = float(margins.flat[idx])
     pt = tuple(float(ax[k]) for ax, k in zip(axes, np.unravel_index(idx, margins.shape)))
     counter = (*pt, mval) if mval < 0.0 else None
     return AuditReport(name, grid_desc, mval, pt, counter)
 
 
-def audit_slack(c: float, xi_grid: Optional[np.ndarray] = None, *,
-                workers: int = 1) -> AuditReport:
+def audit_slack(c: float, xi_grid: Optional[np.ndarray] = None) -> AuditReport:
     """E1: weight(xi) - 1 >= weight(xi)/c for xi >= 2."""
     grid = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
     grid = _require_grid("E1", grid[grid >= 2.0])
     fx = np.log2(grid + 1.0)
     margins = (fx - 1.0) - fx / c
     return _report("E1", f"xi in [2, {grid.max():g}] ({grid.size} pts)",
-                   margins, (grid,), workers)
+                   margins, (grid,))
 
 
-def audit_product_growth_printed(c: float, xi_grid: Optional[np.ndarray] = None, *,
-                                 workers: int = 1) -> AuditReport:
+def audit_product_growth_printed(c: float, xi_grid: Optional[np.ndarray] = None
+                                 ) -> AuditReport:
     """E2 as printed: c*weight(xi) >= weight(xi*xi') - weight(xi) for
     xi, xi' >= c.  Fails for small xi against large xi'; the audit is
     expected to surface that counterexample family."""
@@ -167,11 +146,10 @@ def audit_product_growth_printed(c: float, xi_grid: Optional[np.ndarray] = None,
     fx = np.log2(xi + 1.0)
     margins = c * fx - (np.log2(xi * xip + 1.0) - fx)
     return _report("E2_printed", f"xi,xi' in [{c:g}, {grid.max():g}]^2",
-                   margins, (grid, grid), workers)
+                   margins, (grid, grid))
 
 
-def audit_subadditivity(xi_grid: Optional[np.ndarray] = None, *,
-                        workers: int = 1) -> AuditReport:
+def audit_subadditivity(xi_grid: Optional[np.ndarray] = None) -> AuditReport:
     """E2 in the form the refinement proof actually uses:
     weight(xi*xi') <= weight(xi) + weight(xi'), i.e. subadditivity, which
     holds for all xi, xi' >= 1 since xi*xi' + 1 <= (xi+1)(xi'+1)."""
@@ -184,11 +162,10 @@ def audit_subadditivity(xi_grid: Optional[np.ndarray] = None, *,
     # which stays nonnegative in floating point as well
     margins = np.log1p((xi + xip) / (xi * xip + 1.0)) / math.log(2.0)
     return _report("E2_subadditive", f"xi,xi' in [1, {grid.max():g}]^2",
-                   margins, (grid, grid), workers)
+                   margins, (grid, grid))
 
 
-def audit_root_power(c: float, xi_grid: Optional[np.ndarray] = None, *,
-                     workers: int = 1) -> AuditReport:
+def audit_root_power(c: float, xi_grid: Optional[np.ndarray] = None) -> AuditReport:
     """E3: weight(xi ** (1/sqrt(weight(xi)))) <= c * sqrt(weight(xi))."""
     grid = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
     grid = _require_grid("E3", grid[grid >= c])
@@ -197,12 +174,11 @@ def audit_root_power(c: float, xi_grid: Optional[np.ndarray] = None, *,
     lam_root = lam / np.sqrt(fx)
     margins = c * np.sqrt(fx) - (lam_root + np.log2(1.0 + np.exp2(-lam_root)))
     return _report("E3", f"xi in [{c:g}, {grid.max():g}]",
-                   margins, (grid,), workers)
+                   margins, (grid,))
 
 
 def audit_power(c: float, nu_grid: Optional[np.ndarray] = None,
-                xi_grid: Optional[np.ndarray] = None, *,
-                workers: int = 1) -> AuditReport:
+                xi_grid: Optional[np.ndarray] = None) -> AuditReport:
     """E4: weight(xi ** nu) <= c * nu * weight(xi) for xi >= c, nu >= 1."""
     xg = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
     ng = default_nu_grid() if nu_grid is None else np.asarray(nu_grid, dtype=float)
@@ -216,24 +192,22 @@ def audit_power(c: float, nu_grid: Optional[np.ndarray] = None,
         corr = np.where(pow_lam < 1074.0, np.log2(1.0 + np.exp2(-pow_lam)), 0.0)
     margins = c * nu * fx - (pow_lam + corr)
     return _report("E4", f"nu in [1, {ng.max():g}], xi in [{c:g}, {xg.max():g}]",
-                   margins, (ng, xg), workers)
+                   margins, (ng, xg))
 
 
 def audit_all(c: float, *, xi_grid: Optional[np.ndarray] = None,
-              nu_grid: Optional[np.ndarray] = None,
-              workers: int = 1) -> dict[str, AuditReport]:
+              nu_grid: Optional[np.ndarray] = None) -> dict[str, AuditReport]:
     return {
-        "E1": audit_slack(c, xi_grid, workers=workers),
-        "E2_printed": audit_product_growth_printed(c, xi_grid, workers=workers),
-        "E2_subadditive": audit_subadditivity(xi_grid, workers=workers),
-        "E3": audit_root_power(c, xi_grid, workers=workers),
-        "E4": audit_power(c, nu_grid, xi_grid, workers=workers),
+        "E1": audit_slack(c, xi_grid),
+        "E2_printed": audit_product_growth_printed(c, xi_grid),
+        "E2_subadditive": audit_subadditivity(xi_grid),
+        "E3": audit_root_power(c, xi_grid),
+        "E4": audit_power(c, nu_grid, xi_grid),
     }
 
 
 def find_min_constant(xi_grid: Optional[np.ndarray] = None,
-                      nu_grid: Optional[np.ndarray] = None, *,
-                      workers: int = 1) -> float:
+                      nu_grid: Optional[np.ndarray] = None) -> float:
     """Smallest c on the lattice 1.01, 1.02, ..., 8 satisfying E1, E3, E4
     and subadditive E2 over the grids.  E1 at xi = 2 forces
     c >= w(2)/(w(2) - 1) ~ 2.7095, so default grids land on 2.71."""
@@ -241,15 +215,15 @@ def find_min_constant(xi_grid: Optional[np.ndarray] = None,
     ng = default_nu_grid() if nu_grid is None else np.asarray(nu_grid, dtype=float)
     if xg.size == 0 or ng.size == 0:
         raise DomainError("grids must be nonempty")
-    if audit_subadditivity(xg, workers=workers).min_margin < 0.0:
+    if audit_subadditivity(xg).min_margin < 0.0:
         raise EngineCheckError("subadditivity failed; grids corrupt")
     # E1 forces c > w(xi)/(w(xi)-1) > 1 somewhere on any grid, so the
     # lattice starts just above 1; grids of huge xi admit c near 1
     for k in range(101, 801):
         c = round(k * 0.01, 10)
-        ok = (audit_slack(c, xg, workers=workers).min_margin >= 0.0
-              and audit_root_power(c, xg, workers=workers).min_margin >= 0.0
-              and audit_power(c, ng, xg, workers=workers).min_margin >= 0.0)
+        ok = (audit_slack(c, xg).min_margin >= 0.0
+              and audit_root_power(c, xg).min_margin >= 0.0
+              and audit_power(c, ng, xg).min_margin >= 0.0)
         if ok:
             return c
     raise DomainError("no admissible constant below 8")

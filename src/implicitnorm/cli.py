@@ -37,7 +37,7 @@ class Config:
     tolerance: float = engine.DEFAULT_TOLERANCE
     support_guard: int = engine.DEFAULT_SUPPORT_GUARD
     system: str = "f"
-    parallelism: int = 1
+    parallelism: int = 1    # validated only: every command runs in one thread
 
     def validated(self) -> "Config":
         if self.tolerance <= 0.0:
@@ -190,7 +190,7 @@ def cmd_seq(args, cfg: Config) -> tuple[int, object]:
 def _audit_ineq(args, cfg: Config) -> tuple[int, object, list[str]]:
     from . import audits
     c = args.c
-    reports = audits.audit_all(c, workers=cfg.parallelism)
+    reports = audits.audit_all(c)
     rows = [serialize.csv_row("inequality", "xi", "xi_prime", "margin")]
     for name in ("E1", "E2_printed", "E2_subadditive", "E3", "E4"):
         rep = reports[name]
@@ -207,7 +207,6 @@ def _audit_ineq(args, cfg: Config) -> tuple[int, object, list[str]]:
 
 
 def cmd_audit(args, cfg: Config) -> tuple[int, object]:
-    from . import audits
     sub = args.audit_command
     if sub == "ineq":
         code, summary, rows = _audit_ineq(args, cfg)
@@ -215,6 +214,7 @@ def cmd_audit(args, cfg: Config) -> tuple[int, object]:
             return code, "\n".join(rows)
         return code, summary
     if sub == "beta":
+        from . import audits
         fn = audits.beta_tilde if args.tilde else audits.beta
         result = fn(args.log2r, args.d, tail_tol=args.tail_tol)
         return EXIT_OK, result.to_jsonable()
@@ -227,6 +227,7 @@ def cmd_audit(args, cfg: Config) -> tuple[int, object]:
     if sub == "gnorm":
         return _audit_gnorm(args, cfg)
     if sub == "pente":
+        from . import audits
         x = _read_vector(args.vector)
         rep = audits.refinement_margin(x, args.r, args.d, tol=cfg.tolerance,
                                        guard=cfg.support_guard)
@@ -275,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "route also refuses supports above 735 (1 GiB of DP "
                         "tables) whatever the guard; exit 3 names the limit that "
                         "refused")
-    p.add_argument("--parallelism", type=int)
+    p.add_argument("--parallelism", type=int,
+                   help="accepted and checked (>= 1), no effect: every command "
+                        "runs in one thread")
     p.add_argument("--record", help="write a run record to this path")
     sub = p.add_subparsers(dest="command", required=True)
 

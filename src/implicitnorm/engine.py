@@ -732,34 +732,27 @@ def norm(x: FinVector, system: NormSystem = F_SYSTEM, *,
 def norm_value(x: FinVector, system: NormSystem = F_SYSTEM, *,
                guard: int = DEFAULT_SUPPORT_GUARD,
                memo: Optional[MemoTable] = GLOBAL_MEMO) -> float:
-    """Norm value only, memoized; the resource check runs before the
-    memo is read, so a guard refuses whatever the memo holds."""
-    if x.support_size() == 0:
-        return 0.0
-    vabs, c, build = _plan(x, system, guard)
-    if memo is not None:
-        hit = memo.get(system, vabs)
-        if hit is not None:
-            return hit
-    value = c * build().value()
-    if memo is not None:
-        memo.put(system, vabs, value)
-    return value
+    """Norm value only, memoized: ``norm_values`` of the one vector.  The
+    resource check runs before the memo is read, so a guard refuses
+    whatever the memo holds."""
+    return norm_values([x], system, guard=guard, memo=memo)[0]
 
 
 def norm_values(xs: Sequence[FinVector], system: NormSystem = F_SYSTEM, *,
                 guard: int = DEFAULT_SUPPORT_GUARD,
                 memo: Optional[MemoTable] = GLOBAL_MEMO) -> list[float]:
-    """``[norm_value(x, system, guard=guard, memo=memo) for x in xs]``, bit
-    for bit, with one interval DP fill per support size.
+    """The norm values of ``xs``, memoized, with one interval DP fill per
+    support size; each value is bit for bit that of its vector alone.
+    This is the one path that reads and writes the memo (``norm_value``
+    is its single-vector case).
 
-    Every vector is planned first, so a guard refuses (with the error
-    ``norm_value`` gives for the first refused vector) before any memo
-    read.  Each distinct key is then read from the memo once; the misses
-    on the flat route read the composition tables, the others are filled
-    as one batch per support size, split into parts whose tables fit
-    ``DP_MEMORY_LIMIT_BYTES``.  The misses are written to the memo in the
-    order ``norm_value`` would write them."""
+    Every vector is planned first, so a guard refuses (with the error of
+    the first refused vector) before any memo read.  Each distinct key is
+    then read from the memo once; the misses on the flat route read the
+    composition tables, the others are filled as one batch per support
+    size, split into parts whose tables fit ``DP_MEMORY_LIMIT_BYTES``.
+    The misses are written to the memo in first-read order, the order a
+    loop of single-vector calls would write them."""
     plans = [_plan(x, system, guard) if x.support_size() else None for x in xs]
     found: dict[tuple[float, ...], float] = {}
     misses: dict[tuple[float, ...], None] = {}     # the keys, in first-read order

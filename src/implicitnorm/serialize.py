@@ -2,7 +2,7 @@
 
 Floats are printed with 17 significant digits, dictionary keys sorted,
 so identical results serialize to identical bytes regardless of cache
-state, parallelism, or dict construction order.
+state or dict construction order.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import pytest
 from implicitnorm import (DomainError, F_SYSTEM, FinVector, SupportGuardError,
                           Tower, audit_power, audit_product_growth_printed,
                           audit_root_power, audit_slack, audit_subadditivity,
-                          audits, beta, beta_tilde, default_xi_grid, engine,
+                          audits, beta, beta_tilde, engine,
                           f_log2, find_min_constant, g_log2, gamma_factor,
                           refinement_margin, tail_layer_norm, tower_product)
 
@@ -120,12 +120,6 @@ class TestInequalityAudits:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             audit_slack(3.0, np.array([]))
-
-    def test_workers_do_not_change_results(self):
-        grid = default_xi_grid()
-        a = audit_product_growth_printed(4.0, grid, workers=1)
-        b = audit_product_growth_printed(4.0, grid, workers=4)
-        assert a == b
 
 
 class TestFindMinConstant:

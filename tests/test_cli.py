@@ -290,6 +290,16 @@ class TestConfigAndCache:
         assert out == ""
         assert repr(key) in err
 
+    def test_parallelism_below_one_exit_2(self, tmp_path):
+        # the flag and the config key do nothing, but are still checked
+        code, out, err = run_cli("--parallelism", "0", "norm", '{"dense":[1,1]}')
+        assert (code, out) == (2, "")
+        assert "parallelism must be >= 1" in err
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({"parallelism": 0}))
+        code, out, _ = run_cli("--config", str(cfgpath), "norm", '{"dense":[1,1]}')
+        assert (code, out) == (2, "")
+
     def test_config_env(self, tmp_path, monkeypatch):
         cfgpath = tmp_path / "cfg.json"
         cfgpath.write_text(json.dumps({"system": "g"}))

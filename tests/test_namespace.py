@@ -1,7 +1,8 @@
 """The package namespace is lazy: names resolve to their home modules on
-first access, and a CLI process imports only the modules its command
-runs."""
+first access, a CLI process imports only the modules its command runs,
+and no module imports a thread or process pool."""
 
+import ast
 import importlib
 import json
 import os
@@ -124,3 +125,40 @@ class TestCommandImports:
         loaded = self.loaded("seq", "l1", "--m", "4", "--n", "15")
         assert "implicitnorm.blocks" in loaded
         assert "implicitnorm.audits" not in loaded
+
+    def test_audit_gnorm(self):
+        # its seeded cases come from numpy.random, which imports hashlib
+        # through the standard random module; the package imports nothing
+        loaded = self.loaded("audit", "gnorm", "--cases", "5", "--lmax", "100")
+        assert loaded <= {"hashlib"}
+
+    def test_audit_lemma_duo(self):
+        loaded = self.loaded("audit", "lemma-duo", "--eps", "1", "--l", "2",
+                             "--m", "8", "--nlen", "127")
+        assert loaded == {"implicitnorm.blocks"}
+
+    def test_parallelism_loads_no_pool(self):
+        loaded = self.loaded("--parallelism", "4", "audit", "ineq", "--c", "3")
+        assert "implicitnorm.audits" in loaded
+        assert "concurrent.futures" not in loaded
+
+
+class TestSingleThreaded:
+    """The memo and the composition tables carry no locks, which is sound
+    only while nothing in the package runs engine code on threads."""
+
+    POOLS = ("threading", "concurrent", "multiprocessing")
+
+    @pytest.mark.parametrize("path", sorted((SRC / "implicitnorm").glob("*.py")),
+                             ids=lambda path: path.name)
+    def test_no_thread_or_process_imports(self, path):
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [name for name in names if name.split(".")[0] in self.POOLS]
+        assert found == []
