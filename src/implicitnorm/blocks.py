@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import engine
 from .engine import (
     DEFAULT_SUPPORT_GUARD,
@@ -145,29 +147,25 @@ def greedy_split(y: FinVector, eps: float, system: NormSystem = F_SYSTEM, *,
     ``norm_value`` does, and skip the window.  Segment norms are not
     written to the memo.
     """
-    return _greedy_split(y, eps, system, tol, guard, None)[0]
+    return _greedy_split(y, eps, system, tol, guard)
 
 
 def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guard: int,
-                  carried: Optional[tuple]) -> tuple[SplitProfile, Optional[tuple]]:
-    """``greedy_split``, also reading ``carried``, a window (w0, N table)
-    that an earlier split of the same y left, and returning the window to
-    carry to the next one.  A carried window reaches y's last coordinate
-    (a split's last read ends there), so it covers every segment that
-    starts at w0 or later; reads before w0 come first and take the own
-    window exactly as a split without one would, so carrying adds no fill.
-    """
+                  table: Optional[np.ndarray] = None) -> SplitProfile:
+    """``greedy_split``, reading ``table``, y's whole N table, when given
+    as its first window."""
     if eps <= 0.0:
         raise DomainError("eps must be positive")
     if y.is_zero():
-        return SplitProfile((), (), eps), carried
+        return SplitProfile((), (), eps)
     if y.linf() > eps and not _close(y.linf(), eps, tol):
         raise DomainError(f"coordinate exceeds eps: |{y.linf()}| > {eps}")
 
     coords = y.coords
     vabs = tuple(abs(v) for _, v in coords)
     L = len(coords)
-    w0, width, window = 0, 0, None     # window[a - w0, b - w0] = N of a..b
+    # window[a - w0, b - w0] = N of a..b; a whole table covers every segment
+    w0, width, window = 0, (0 if table is None else L), table
 
     def seg(a: int, b: int) -> FinVector:
         return FinVector(coords[a:b + 1])
@@ -177,8 +175,6 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
         if _routes_flat(vabs[a:b + 1]):
             return constant_vector_norm(system, b - a + 1, vabs[a], guard=guard)
         if b >= w0 + width:
-            if carried is not None and a >= carried[0]:
-                return float(carried[1][a - carried[0], b - carried[0]])
             if b - a >= width:
                 width = max(2 * width, b - a + 1)
             w0, width = a, min(width, L - a)
@@ -198,10 +194,7 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
         pieces.append(seg(p, e))
         norms.append(nv)
         p = e + 1
-    # carry the window that reaches the last coordinate and starts first
-    if window is not None and w0 + width == L and (carried is None or w0 < carried[0]):
-        carried = (w0, window)
-    return SplitProfile(tuple(pieces), tuple(norms), eps), carried
+    return SplitProfile(tuple(pieces), tuple(norms), eps)
 
 
 def split_count_bounds(eps: float, system: NormSystem = F_SYSTEM) -> tuple[int, int]:
@@ -608,11 +601,10 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
     cluster survives.  Growth conditions are checked and reported, never
     silently enforced.  Returns the chosen representatives min(M_n) and
     the per-level states; stops early with what it has when the family
-    thins out.  Each member's split window is carried from one level to
-    the next (``_greedy_split``), so a deeper level reads the tables an
-    earlier one filled instead of filling them again."""
+    thins out.  Later pools are subsets of the first, whose members' whole
+    N tables are filled once (``engine._n_tables``) for every split to read;
+    members that route flat or are refused split from their own windows."""
     members = list(range(len(blocks)))
-    windows: dict = {}      # member -> its split window, carried across levels
     states: list[StabilizationState] = []
     chosen: list[int] = []
     prev_count: Optional[int] = None
@@ -625,12 +617,13 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
             pool = [i for i in pool if blocks[i].linf() <= eps_n / 2.0 + tol]
         else:
             pool = [i for i in pool if blocks[i].linf() <= eps_n + tol]
+            ids = [i for i in pool if not _routes_flat(tuple(map(abs, blocks[i].values)))]
+            tables = {ids[k]: N for k, N in engine._n_tables(
+                [blocks[i].values for i in ids], system, guard)}
         if not pool:
             break
-        profiles = {}
-        for i in pool:
-            profiles[i], windows[i] = _greedy_split(blocks[i], eps_n, system, tol, guard,
-                                                    windows.get(i))
+        profiles = {i: _greedy_split(blocks[i], eps_n, system, tol, guard, tables.get(i))
+                    for i in pool}
         by_count: dict[int, list[int]] = {}
         for i in pool:
             by_count.setdefault(profiles[i].count, []).append(i)

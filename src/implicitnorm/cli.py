@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from . import engine, serialize
 from .engine import (DomainError, NormSystem, SupportGuardError, get_system,
                      log2_affine_system)
 from .vectors import FinVector, VectorError
+
+if TYPE_CHECKING:
+    from . import blocks
 
 CONFIG_ENV = "IMPLICITNORM_CONFIG"
 

@@ -38,10 +38,10 @@ the numpy calls one vector would make, and ``build_tables`` is the
 B = 1 case.  Each run's l1 bound is one ``np.add.reduce`` per length over
 a window view built once per fill, the same pairwise sum as a reduce of
 the run alone, so every row is bitwise the fill of its vector alone.
-``norm_values`` serves many vectors that way: it plans them all, reads
-the memo once per distinct key and fills the misses in one batch per
-support size; ``_check_resources`` tells it how many vectors one fill
-may take, so every part's tables stay under the memory limit.  Small
+``_n_tables`` fills many vectors that way, one batch per support size,
+split where ``_check_resources`` says so to keep every part's tables
+under the memory limit; ``norm_values`` (after one memo read per
+distinct key) and ``stabilize_subsequence`` fill through it.  Small
 fills are almost all fixed cost, which a batch pays once.
 ``_plan`` is the one route decision of every reader: bitwise-constant
 vectors take a composition DP over lengths instead, which reaches the
@@ -53,8 +53,9 @@ to the winning part count before it scans them all.  Both routes record
 each interval's winning part count as they fill, so one walk,
 ``_witness``, reads the witness from either route's tables.  ``_plan`` runs the one guard and
 memory check, ``_check_resources``, before any memo read.  Its route
-rule, ``_routes_flat``, is also what ``greedy_split`` applies to the
-segments it would otherwise read from a shared window table.
+rule, ``_routes_flat``, is also what ``greedy_split`` applies before each
+interval-table read: one table per ``stabilize_subsequence`` member,
+filled once, or its own windows when the member routes flat or is refused.
 Every weight these kernels divide by is a slice of one array per system,
 ``NormSystem.weight_table``, grown on demand.
 
@@ -78,7 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -313,6 +314,24 @@ def _check_resources(L: int, guard: int, flat: bool, B: int = 1) -> int:
             f"support size {L} needs ~{need >> 20} MiB of {what} tables "
             f"(limit {DP_MEMORY_LIMIT_BYTES >> 20} MiB)")
     return min(B, DP_MEMORY_LIMIT_BYTES // need)
+
+
+def _n_tables(rows: Sequence[Sequence[float]], system: NormSystem, guard: int
+              ) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, N table of rows[k]) for each row whose size the interval route
+    admits, one ``_fill`` per size split into parts that ``_check_resources``
+    sizes; refused sizes yield nothing."""
+    by_size: dict[int, list[int]] = {}
+    for k, row in enumerate(rows):
+        by_size.setdefault(len(row), []).append(k)
+    for L, ks in by_size.items():
+        try:
+            part = _check_resources(L, guard, flat=False, B=len(ks))
+        except SupportGuardError:
+            continue
+        for k0 in range(0, len(ks), part):
+            chunk = ks[k0:k0 + part]
+            yield from zip(chunk, _fill(_padded([rows[k] for k in chunk], L), system)[0])
 
 
 def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
@@ -749,14 +768,13 @@ def norm_values(xs: Sequence[FinVector], system: NormSystem = F_SYSTEM, *,
     Every vector is planned first, so a guard refuses (with the error of
     the first refused vector) before any memo read.  Each distinct key is
     then read from the memo once; the misses on the flat route read the
-    composition tables, the others are filled as one batch per support
-    size, split into parts whose tables fit ``DP_MEMORY_LIMIT_BYTES``.
+    composition tables, the others are filled in batches (``_n_tables``).
     The misses are written to the memo in first-read order, the order a
     loop of single-vector calls would write them."""
     plans = [_plan(x, system, guard) if x.support_size() else None for x in xs]
     found: dict[tuple[float, ...], float] = {}
     misses: dict[tuple[float, ...], None] = {}     # the keys, in first-read order
-    batches: dict[int, list[tuple[float, ...]]] = {}
+    rows: list[tuple[float, ...]] = []      # the interval-route misses
     for plan in plans:
         if plan is None or plan[0] in found or plan[0] in misses:
             continue
@@ -769,13 +787,9 @@ def norm_values(xs: Sequence[FinVector], system: NormSystem = F_SYSTEM, *,
         if _routes_flat(vabs):
             found[vabs] = c * build().value()
         else:
-            batches.setdefault(len(vabs), []).append(vabs)
-    for L, keys in batches.items():
-        part = _check_resources(L, guard, flat=False, B=len(keys))
-        for k0 in range(0, len(keys), part):
-            chunk = keys[k0:k0 + part]
-            N = _fill(_padded(chunk, L), system)[0]
-            found.update(zip(chunk, N[:, 0, L - 1].tolist()))
+            rows.append(vabs)
+    for k, N in _n_tables(rows, system, guard):
+        found[rows[k]] = float(N[0, -1])
     if memo is not None:
         for vabs in misses:
             memo.put(system, vabs, found[vabs])

@@ -362,6 +362,53 @@ class TestGreedySelect:
         assert growth_index_repr(3 * (2 ** 400 - 1)) == "3*(2^400-1)"
 
 
+def _near_flat(rng, L, start):
+    row = list(1.0 + rng.uniform(-0.1, 0.1, L))
+    return normalized(FinVector.from_dense(row, start=start))
+
+
+def _translates(row, count):
+    return BlockSequence(FinVector.from_dense(row, start=1 + len(row) * k)
+                         for k in range(count))
+
+
+def _near_flat_family(seed, count, L):
+    rng = np.random.default_rng(seed)
+    return BlockSequence(_near_flat(rng, L, 1 + L * k) for k in range(count))
+
+
+def _above_guard():
+    """Four translates of one normalized near-flat block of support 16,
+    which the guard of 20 admits, and two blocks of support 24 with norm
+    1.5, which it refuses and whose piece count sets them apart."""
+    rng = np.random.default_rng(0)
+    short = list(_near_flat(rng, 16, 1).values)
+    out, start = [], 1
+    for L in (16, 24, 16, 24, 16, 16):
+        out.append(FinVector.from_dense(short, start=start) if L == 16
+                   else _near_flat(rng, 24, start).scale(1.5))
+        start += L
+    return BlockSequence(out)
+
+
+# name -> (family, schedule, guard, levels reached, support sizes whose
+# splits read the member's whole N table)
+STABILIZE_FAMILIES = {
+    # the benchmark's stabilize make-up: six near-flat blocks of support 24
+    "block-pipeline": lambda: (
+        _near_flat_family(24, 6, 24), [1.0, 0.5], engine.DEFAULT_SUPPORT_GUARD, 2, {24}),
+    "flat-dip-flat-161": lambda: (
+        BlockSequence(normalized(y)
+                      for y in _translates([1.0] * 70 + [0.5] + [1.0] * 90, 3)),
+        [1.0, 0.5, 0.25], engine.DEFAULT_SUPPORT_GUARD, 3, {161}),
+    # routes flat as a whole, and the interval route refuses 800
+    "flat-800": lambda: (
+        BlockSequence(normalized(y) for y in _translates([1.0] * 800, 2)),
+        [1.0, 0.5], engine.DEFAULT_SUPPORT_GUARD, 2, set()),
+    "above-guard": lambda: (_above_guard(), [0.6, 0.6, 0.58], 20, 3, {16}),
+}
+
+
 class TestStabilize:
     def _flat_family(self, count=6, length=32):
         a = math.log2(length + 1) / length
@@ -399,49 +446,47 @@ class TestStabilize:
         kinds = {i % 2 for i in level2.members}
         assert len(kinds) == 1             # one shape class survives
 
-    def test_carried_windows_keep_results_and_add_no_fill(self, monkeypatch):
-        rng = np.random.default_rng(24)
-        fam = BlockSequence(normalized(FinVector.from_dense(
-            list(1.0 + rng.uniform(-0.1, 0.1, 24)), start=1 + 24 * k)) for k in range(6))
-        schedule = [1.0, 0.5, 0.3]
-        build_tables, calls = engine.build_tables, []
-        monkeypatch.setattr(engine, "build_tables",
-                            lambda *a, **k: calls.append(a) or build_tables(*a, **k))
-        chosen, states = stabilize_subsequence(fam, schedule)
-        carried = len(calls)
-
-        split = blocks._greedy_split
+    @pytest.mark.parametrize("name", sorted(STABILIZE_FAMILIES))
+    def test_splits_equal_a_fresh_split(self, monkeypatch, name):
+        fam, schedule, guard, levels, tabled = STABILIZE_FAMILIES[name]()
+        split, splits = blocks._greedy_split, []
         monkeypatch.setattr(blocks, "_greedy_split",
-                            lambda y, eps, system, tol, guard, window:
-                            split(y, eps, system, tol, guard, None))
-        calls.clear()
-        fresh_chosen, fresh_states = stabilize_subsequence(fam, schedule)
-        assert chosen == fresh_chosen
-        assert [st.to_jsonable() for st in states] == \
-            [st.to_jsonable() for st in fresh_states]
-        assert [{i: p.to_jsonable() for i, p in st.profiles.items()} for st in states] == \
-            [{i: p.to_jsonable() for i, p in st.profiles.items()} for st in fresh_states]
-        assert carried < len(calls)
-
-    @pytest.mark.parametrize("y,eps_pair", [
-        (FinVector.from_dense([0.3, 1.0, -0.7, 0.9, 0.2] * 6).scale(0.25), (0.5, 0.25)),
-        (FinVector.from_dense([0.3, 1.0, -0.7, 0.9, 0.2] * 6).scale(0.25), (0.25, 1.0)),
-        (normalized(ones(40)), (0.25, 0.5)),
-        (FinVector.from_dense([1.0] * 70 + [0.5] + [1.0] * 90).scale(1 / 12), (1.0, 0.5)),
-    ], ids=["finer", "coarser", "flat40", "flat-dip-flat"])
-    def test_carried_window_reads_equal_a_fresh_split(self, monkeypatch, y, eps_pair):
-        build_tables, calls = engine.build_tables, []
+                            lambda *a: splits.append((a, split(*a))) or splits[-1][1])
+        build_tables, builds = engine.build_tables, []
         monkeypatch.setattr(engine, "build_tables",
-                            lambda *a, **k: calls.append(a) or build_tables(*a, **k))
-        first, second = eps_pair
-        tol, guard = engine.DEFAULT_TOLERANCE, engine.DEFAULT_SUPPORT_GUARD
-        _, window = blocks._greedy_split(y, first, F_SYSTEM, tol, guard, None)
-        calls.clear()
-        prof, _ = blocks._greedy_split(y, second, F_SYSTEM, tol, guard, window)
-        with_window = len(calls)
-        calls.clear()
-        assert prof.to_jsonable() == greedy_split(y, second).to_jsonable()
-        assert with_window <= len(calls)
+                            lambda *a, **k: builds.append(a) or build_tables(*a, **k))
+        _, states = stabilize_subsequence(fam, schedule, guard=guard)
+        monkeypatch.undo()
+        assert len(states) == levels
+        fresh = {}
+        for (y, eps, system, tol, guard_, table), prof in splits:
+            # a member reads its whole table exactly when the interval
+            # route admits it and it does not route flat as a whole
+            assert (table is not None) == (y.support_size() in tabled)
+            assert (system, tol, guard_) == (F_SYSTEM, engine.DEFAULT_TOLERANCE, guard)
+            fresh[y, eps] = greedy_split(y, eps, guard=guard)
+            assert prof == fresh[y, eps]
+        for st in states:
+            for i, prof in st.profiles.items():
+                assert prof == fresh[fam[i], st.eps]
+        if all(y.support_size() in tabled for y in fam):
+            assert builds == []         # no split builds a window of its own
+
+    def test_member_batch_split_keeps_outputs(self, monkeypatch):
+        fam, schedule, guard, _, _ = STABILIZE_FAMILIES["block-pipeline"]()
+
+        def outputs():
+            chosen, states = stabilize_subsequence(fam, schedule, guard=guard)
+            return chosen, [(st, st.profiles) for st in states]
+        want = outputs()
+        monkeypatch.setattr(engine, "DP_MEMORY_LIMIT_BYTES", 4 * engine.dp_table_bytes(24))
+        fill, shapes = engine._fill, []
+        monkeypatch.setattr(engine, "_fill",
+                            lambda pad, system:
+                            shapes.append(pad.shape) or fill(pad, system))
+        assert outputs() == want
+        # the six members' tables come first, in parts of four and two
+        assert shapes[:2] == [(4, 48), (2, 48)]
 
     def test_depth_exceeding_family(self):
         fam = self._flat_family(count=3)

@@ -4,9 +4,10 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
-from implicitnorm import cli
+from implicitnorm import FinVector, cli, engine
 
 
 def run_cli(*argv):
@@ -233,6 +234,21 @@ def _pin_blocks():
     return json.dumps(out)
 
 
+def _stabilize_blocks():
+    """Three seeded near-flat blocks of support 24 (coefficients 1 +- 0.1),
+    then three flat-dip-flat blocks of support 131 (65 ones, 0.5, 65 ones),
+    each of F norm 1; the flat-dip-flat ones survive to the third level."""
+    rng = np.random.default_rng(16)
+    rows = [[float(v) for v in 1.0 + rng.uniform(-0.1, 0.1, 24)] for _ in range(3)]
+    rows += [[1.0] * 65 + [0.5] + [1.0] * 65] * 3
+    out, start = [], 1
+    for row in rows:
+        x = FinVector.from_dense(row, start=start)
+        out.append(x.scale(1.0 / engine.norm_value(x)).to_jsonable())
+        start += len(row)
+    return json.dumps(out)
+
+
 _FLAT_1016 = json.dumps({"dense": [1] * 1016})
 
 
@@ -253,8 +269,10 @@ class TestStdoutPins:
          "712845300e83adca8f1a13f546bd0b084a3f5e8ba405affae51fcf800ba49917"),
         (("audit", "lemma-duo", "--eps", "1", "--l", "2", "--m", "8", "--nlen", "127"),
          "5fb33e29756040d4e41608daafd1fea216778f43cae2af98749fed9e6feb8b76"),
+        (("seq", "stabilize", "--eps-schedule", "[1.0,0.5,0.25]", _stabilize_blocks()),
+         "e74dcc107feaf14eb62df8a3ff2bd15d60db9bd250193a2666bfbd188f64a5fd"),
     ], ids=["audit-gnorm", "seq-project", "norm-g-flat1016", "norm-f-flat1016",
-            "audit-lemma-duo"])
+            "audit-lemma-duo", "seq-stabilize"])
     def test_stdout_digest(self, argv, digest):
         code, out, _ = run_cli(*argv)
         assert code == 0

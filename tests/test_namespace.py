@@ -4,10 +4,12 @@ and no module imports a thread or process pool."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -162,3 +164,37 @@ class TestSingleThreaded:
                 continue
             found += [name for name in names if name.split(".")[0] in self.POOLS]
         assert found == []
+
+
+def _defined_in(module) -> list:
+    """The functions and classes ``module`` defines, with the functions
+    its classes define (properties by their getters)."""
+    own = [obj for obj in vars(module).values()
+           if inspect.isfunction(obj) or inspect.isclass(obj)
+           if obj.__module__ == module.__name__]
+    for cls in [obj for obj in own if inspect.isclass(obj)]:
+        for attr in vars(cls).values():
+            attr = attr.fget if isinstance(attr, property) else attr
+            attr = getattr(attr, "__func__", attr)      # static and class methods
+            if inspect.isfunction(attr):
+                own.append(attr)
+    return own
+
+
+class TestAnnotations:
+    """A lazily imported module is not bound where a command does not run
+    it, so an annotation that names it fails only when read; every
+    annotation must resolve from its module's globals and the imports of
+    the module's ``if TYPE_CHECKING:`` block."""
+
+    @pytest.mark.parametrize("path", sorted((SRC / "implicitnorm").glob("*.py")),
+                             ids=lambda path: path.name)
+    def test_type_hints_resolve(self, path):
+        name = "implicitnorm" if path.stem == "__init__" else f"implicitnorm.{path.stem}"
+        module = importlib.import_module(name)
+        checking = {"__package__": "implicitnorm", "__name__": name}
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                exec(compile(ast.Module(node.body, []), str(path), "exec"), checking)
+        for obj in _defined_in(module):
+            typing.get_type_hints(obj, localns=checking)
