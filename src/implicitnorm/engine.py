@@ -42,7 +42,12 @@ the run alone, so every row is bitwise the fill of its vector alone.
 split where ``_check_resources`` says so to keep every part's tables
 under the memory limit; ``norm_values`` (after one memo read per
 distinct key) and ``stabilize_subsequence`` fill through it.  Small
-fills are almost all fixed cost, which a batch pays once.
+fills are almost all fixed cost, which a batch pays once.  These
+readers take only N, so their fills stop each length at the part
+counts a scan can still reach: the scan's own early stop says when a
+part-count cap is exact, and the cap doubles where it is not.
+``build_tables`` fills every part count, since its readers take S; the
+tables are allocated in full either way.
 ``_plan`` is the one route decision of every reader: bitwise-constant
 vectors take a composition DP over lengths instead, which reaches the
 support guard (4096).  It fills each length only with the part counts
@@ -109,6 +114,10 @@ S_GROUP = 4
 # Elements per batch row of the add temporary of one fill step; numpy's
 # iterator buffers come on top, up to this size for each strided operand.
 DP_BATCH = 1 << 13
+# Part counts every length of an N-only interval fill starts with; the
+# cap doubles where a scan needs more (``_fill``).  At least 2, so that
+# every band of part counts it fills is nonempty.
+_PART_CAP = 16
 BRUTE_SUPPORT_CAP = 8
 # ``norm`` evaluates its witness on the input; the witness adds left to
 # right while the DP nests its sums, so they agree to rounding, not bits.
@@ -320,7 +329,8 @@ def _n_tables(rows: Sequence[Sequence[float]], system: NormSystem, guard: int
               ) -> Iterator[tuple[int, np.ndarray]]:
     """(k, N table of rows[k]) for each row whose size the interval route
     admits, one ``_fill`` per size split into parts that ``_check_resources``
-    sizes; refused sizes yield nothing."""
+    sizes; refused sizes yield nothing.  Only N is read, so the fills cap
+    the part counts (``_fill``'s default)."""
     by_size: dict[int, list[int]] = {}
     for k, row in enumerate(rows):
         by_size.setdefault(len(row), []).append(k)
@@ -341,7 +351,7 @@ def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
         raise DomainError("zero vector has no DP tables")
     _check_resources(L, guard, flat=False)
     pad = _padded([x.values], L)
-    N, kind, S = _fill(pad, system)
+    N, kind, S = _fill(pad, system, L)      # every part count: S is read
     return IntervalTables(system, x.indices, pad[0, :L], N[0], [plane[0] for plane in S],
                           kind[0])
 
@@ -353,15 +363,29 @@ def _padded(rows: Sequence[Sequence[float]], L: int) -> np.ndarray:
     return pad
 
 
-def _fill(pad: np.ndarray, system: NormSystem
+def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
           ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The interval DP of every row of V = pad[:, :L], a (B, L) stack of
-    absolute coefficients (``_padded``): N[b], kind[b] and each S[g][b]
-    are row b's tables, bit for bit those of a fill of row b alone.  The
-    batch axis leads every table, so each step below serves all rows
-    with one numpy call."""
+    absolute coefficients (``_padded``): N[b] and kind[b] are row b's
+    tables, bit for bit those of a fill of row b alone.  The batch axis
+    leads every table, so each step below serves all rows with one numpy
+    call.
+
+    Each length fills the part counts n = 1..min(length, cap) of S
+    (``_fill_band``), the cap starting at ``cap``, or ``_PART_CAP`` when
+    None.  The cap is exact when every interval's scan has stopped by
+    part count cap + 1, which the scan's own ``dropped`` says; where some
+    scan has not, the cap doubles, the lengths filled short of it get
+    their missing part counts in length order, and the length is scanned
+    again.  So N and kind are those of a fill of every part count, and
+    each length ell ends with the first min(ell, final cap) part counts
+    of S, -inf past them.  At length cap a scan that has not stopped by
+    cap / 2 + 1 raises the cap before the next length: a system whose
+    scans stop late (F) fills each length in one pass.  At cap >= L,
+    what ``build_tables`` passes, every part count is filled."""
     B, L = pad.shape[0], pad.shape[1] // 2
     V = pad[:, :L]
+    cap = _PART_CAP if cap is None else cap
     # wv[n - 1] divides the n-part sums; wv[0] = 1 passes the sup norm
     wv = np.concatenate(([1.0], system.weight_table(L)[2:L + 1]))
     groups = [(j0, min(j0 + S_GROUP, L) - 1) for j0 in range(0, L, S_GROUP)]
@@ -387,57 +411,96 @@ def _fill(pad: np.ndarray, system: NormSystem
     sup = V                   # sup[b, i]: largest entry of the interval at i
     part_count = np.arange(1, L + 1, dtype=np.int16)    # of the scan's winning column
     part_count[0] = 0                   # the sup-norm leaf
-    add_reduce, amax = np.add.reduce, np.maximum.reduce
 
     for ell in range(2, L + 1):
         cnt = L - ell + 1     # starts 0..L-ell, right ends ell-1..L-1
-        first = N_band[:, :cnt, :ell - 1]
         rows = buf[:B * cnt * ell].reshape(B, cnt, ell)
-        # n >= 2 parts: a first part of length k, then n - 1 parts on the
-        # rest, read at length ell - k from the right end's plane; part
-        # counts the rest cannot hold read -inf.  Steps of `step` starts
-        # and `span` first-part lengths keep the sum under DP_BATCH per row.
-        step = max(1, DP_BATCH // (ell - 1) ** 2)
-        span = min(ell - 1, max(1, DP_BATCH // (ell - 1)))
-        live = (ell - 1) // S_GROUP    # first group holding a right end
-        for (j0, j1), plane in zip(groups[live:], S[live:]):
-            for a in range(max(j0, ell - 1), j1 + 1, step):
-                b = min(a + step, j1 + 1)
-                i0, i1 = a - ell + 1, b - ell + 1
-                out = rows[:, i0:i1, 1:]
-                rest = plane[:, a - j0:b - j0, :, :ell - 1]
-                amax(first[:, i0:i1, :span, None] + rest[:, :, ell - 2::-1][:, :, :span],
-                     axis=2, out=out)
-                for k in range(span, ell - 1, span):
-                    np.maximum(out, amax(first[:, i0:i1, k:k + span, None]
-                                         + rest[:, :, ell - 2 - k::-1][:, :, :span], axis=2),
-                               out=out)
-
+        n1 = min(ell, cap)    # the part counts filled
+        _fill_band(N_band, S, groups, ell, 1, n1, rows)
         sup = np.maximum(sup[:, :cnt], V[:, ell - 1:])
         rows[:, :, 0] = sup
-        l1 = add_reduce(win[:, :cnt, :ell], axis=2)
-        kind_band[:, :cnt, ell - 1] = part_count[
-            _scan_length(rows.reshape(B * cnt, ell), l1.reshape(-1), wv[:ell])].reshape(B, cnt)
+        l1 = np.add.reduce(win[:, :cnt, :ell], axis=2).reshape(-1)
+        if ell < cap or cap >= L:
+            arg = _scan_length(rows.reshape(B * cnt, ell), l1, wv[:ell])[0]
+        else:
+            while True:
+                width = n1 + (n1 < ell)    # a column of -inf tests n1 + 1 parts
+                rows[:, :, n1:width] = -np.inf
+                arg, dropped = _scan_length(rows.reshape(B * cnt, ell)[:, :width], l1,
+                                            wv[:width])
+                # a capped scan that has not stopped by n1 + 1 parts raises
+                # the cap; at length cap, one that has not stopped by
+                # cap / 2 + 1 raises it before the lengths it would split
+                stop = n1 + 1 if n1 < ell else cap // 2 + 1
+                if ell < cap or cap >= L or dropped[:, stop - 2].all():
+                    break
+                old, cap = cap, 2 * cap
+                if n1 == ell:
+                    break
+                for ln in range(old + 1, ell):
+                    _fill_band(N_band, S, groups, ln, old, min(ln, cap), None)
+                n1 = min(ell, cap)
+                rows[:, :, 0] = sup
+                _fill_band(N_band, S, groups, ell, old, n1, rows)
+            del dropped
+        kind_band[:, :cnt, ell - 1] = part_count[arg].reshape(B, cnt)
         N_band[:, :cnt, ell - 1] = rows[:, :, 0]
+        del arg               # freed before the next add-max, where fills peak
+        done, live = rows[:, :, :n1] if n1 < ell else rows, (ell - 1) // S_GROUP
         for (j0, j1), plane in zip(groups[live:], S[live:]):
             a = max(j0, ell - 1)
-            plane[:, a - j0:, ell - 1, :ell] = rows[:, a - ell + 1:j1 - ell + 2]
+            plane[:, a - j0:, ell - 1, :n1] = done[:, a - ell + 1:j1 - ell + 2]
 
     return N, kind, S
 
 
-def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _fill_band(N_band: np.ndarray, S: list[np.ndarray], groups: list[tuple[int, int]],
+               ell: int, c0: int, c1: int, rows: Optional[np.ndarray]) -> None:
+    """Columns c0..c1-1 (part counts c0 + 1..c1, c0 >= 1) of the sums of
+    every interval of length ell, each the max over its first part's
+    length k of N of that part plus the rest's best sum over one part
+    fewer; into ``rows`` (indexed by start, as ``_fill``'s) or, when None,
+    into S itself.  A rest must hold c0 parts, so k runs 1..ell-c0.
+    Steps of `step` right ends and `span` first-part lengths keep the
+    sum under DP_BATCH per row."""
+    m, K = c1 - c0, ell - c0
+    step = max(1, DP_BATCH // (K * m))
+    span = min(K, max(1, DP_BATCH // m))
+    end = c0 - 2 if c0 > 1 else None    # past the shortest rest, length c0
+    amax = np.maximum.reduce
+    live = (ell - 1) // S_GROUP    # first group holding a right end
+    for (j0, j1), plane in zip(groups[live:], S[live:]):
+        for a in range(max(j0, ell - 1), j1 + 1, step):
+            b = min(a + step, j1 + 1)
+            i0, i1 = a - ell + 1, b - ell + 1
+            out = (rows[:, i0:i1, c0:c1] if rows is not None
+                   else plane[:, a - j0:b - j0, ell - 1, c0:c1])
+            # rest[..., k, n - 2]: the rest after a first part of length
+            # k + 1, at length ell - k - 1, read from the right end's plane
+            rest = plane[:, a - j0:b - j0, ell - 2:end:-1, c0 - 1:c1 - 1]
+            amax(N_band[:, i0:i1, :span, None] + rest[:, :, :span], axis=2, out=out)
+            for k in range(span, K, span):
+                np.maximum(out, amax(N_band[:, i0:i1, k:min(k + span, K), None]
+                                     + rest[:, :, k:k + span], axis=2), out=out)
+
+
+def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Norm and winning part count of every interval of one length.
 
     ``rows[i]`` holds sup, then the best sums over n = 2.. parts, of the
     interval at start i; ``l1[i]`` is the np.sum of its entries and ``w``
     the divisors (1, then w(n)).  The result is bitwise that of a scan
-    over ascending n that stops at the first n whose bound l1 / w(n) falls
-    below the incumbent (the running max of sup and the candidates before
-    n) and replaces the incumbent only on strict improvement: candidates
-    from the stop on are dropped, and the first maximum of sup and the
-    rest wins.  Writes the norms into ``rows[:, 0]`` and returns the
-    winning columns: 0 for sup, n - 1 for n parts.
+    over ascending n that stops at the first n whose bound l1 / w(n)
+    falls below the incumbent (the running max of sup and the candidates
+    before n) and replaces the incumbent only on strict improvement:
+    candidates from the stop on are dropped, and the first maximum of sup
+    and the rest wins.  Writes the norms into ``rows[:, 0]`` and returns
+    the winning columns (0 for sup, n - 1 for n parts) and ``dropped``,
+    whose column n - 2 says whether the scan has stopped by n parts.
+    Since a column's test reads only the columns before it, a last column
+    of -inf changes no result, and where its test holds for every row no
+    part count past the others can change one either (``_fill``'s cap).
     """
     vals = rows / w
     dropped = np.logical_or.accumulate(
@@ -445,7 +508,7 @@ def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray) -> np.ndarray:
     vals[:, 1:][dropped] = -np.inf
     arg = vals.argmax(axis=1)
     rows[:, 0] = vals[np.arange(len(arg)), arg]
-    return arg
+    return arg, dropped
 
 
 def _witness(t: IntervalTables | _FlatTables, i: int, j: int) -> WitnessTree:

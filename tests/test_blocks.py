@@ -377,6 +377,16 @@ def _near_flat_family(seed, count, L):
     return BlockSequence(_near_flat(rng, L, 1 + L * k) for k in range(count))
 
 
+def _near_flat_g_family(seed, count, L):
+    """Near-flat members normalised under G: past the first part-count
+    cap, so their member tables come from the capped fill."""
+    rng = np.random.default_rng(seed)
+    return BlockSequence(
+        normalized(FinVector.from_dense(list(1.0 + rng.uniform(-0.3, 0.3, L)),
+                                        start=1 + L * k), G_SYSTEM)
+        for k in range(count))
+
+
 def _above_guard():
     """Four translates of one normalized near-flat block of support 16,
     which the guard of 20 admits, and two blocks of support 24 with norm
@@ -406,7 +416,11 @@ STABILIZE_FAMILIES = {
         BlockSequence(normalized(y) for y in _translates([1.0] * 800, 2)),
         [1.0, 0.5], engine.DEFAULT_SUPPORT_GUARD, 2, set()),
     "above-guard": lambda: (_above_guard(), [0.6, 0.6, 0.58], 20, 3, {16}),
+    "near-flat-g-40": lambda: (
+        _near_flat_g_family(7, 6, 40), [1.0, 0.5, 0.25], engine.DEFAULT_SUPPORT_GUARD, 3, {40}),
 }
+# the families stabilized under a system other than F
+STABILIZE_SYSTEMS = {"near-flat-g-40": G_SYSTEM}
 
 
 class TestStabilize:
@@ -449,22 +463,23 @@ class TestStabilize:
     @pytest.mark.parametrize("name", sorted(STABILIZE_FAMILIES))
     def test_splits_equal_a_fresh_split(self, monkeypatch, name):
         fam, schedule, guard, levels, tabled = STABILIZE_FAMILIES[name]()
+        system = STABILIZE_SYSTEMS.get(name, F_SYSTEM)
         split, splits = blocks._greedy_split, []
         monkeypatch.setattr(blocks, "_greedy_split",
                             lambda *a: splits.append((a, split(*a))) or splits[-1][1])
         build_tables, builds = engine.build_tables, []
         monkeypatch.setattr(engine, "build_tables",
                             lambda *a, **k: builds.append(a) or build_tables(*a, **k))
-        _, states = stabilize_subsequence(fam, schedule, guard=guard)
+        _, states = stabilize_subsequence(fam, schedule, system=system, guard=guard)
         monkeypatch.undo()
         assert len(states) == levels
         fresh = {}
-        for (y, eps, system, tol, guard_, table), prof in splits:
+        for (y, eps, system_, tol, guard_, table), prof in splits:
             # a member reads its whole table exactly when the interval
             # route admits it and it does not route flat as a whole
             assert (table is not None) == (y.support_size() in tabled)
-            assert (system, tol, guard_) == (F_SYSTEM, engine.DEFAULT_TOLERANCE, guard)
-            fresh[y, eps] = greedy_split(y, eps, guard=guard)
+            assert (system_, tol, guard_) == (system, engine.DEFAULT_TOLERANCE, guard)
+            fresh[y, eps] = greedy_split(y, eps, system, guard=guard)
             assert prof == fresh[y, eps]
         for st in states:
             for i, prof in st.profiles.items():

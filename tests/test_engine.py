@@ -304,6 +304,8 @@ class TestConstantFastPath:
 
 
 H_SYSTEM = log2_affine_system("h", 2, 1.5, 0.75)
+# a weight below 1 at n = 4, and so not increasing
+ODD_SYSTEM = engine.NormSystem("odd", 2, lambda n: {2: 1.5, 3: 1.6, 4: 0.95}.get(n, 2.0 + n))
 _CONST_REFERENCE: dict = {}
 
 
@@ -435,7 +437,7 @@ class TestCompositionBand:
         # a weight below 1 breaks the bound T[n, len] <= len that the
         # dead-row test rests on, so every part count must be filled even
         # where the later weights alone would let the test stop the fill
-        odd = engine.NormSystem("odd", 2, lambda n: {2: 1.5, 3: 1.6, 4: 0.95}.get(n, 2.0 + n))
+        odd = ODD_SYSTEM
         L = 120
         constant_vector_norm(odd, L, 1.0)
         tab = engine._CONST_TABLES[odd]
@@ -1007,7 +1009,7 @@ class TestBatchedFill:
     def test_rows_match_single_fills(self, B, L, kind, system, seed):
         rng = np.random.default_rng(seed)
         xs = [_batch_vector(rng, L, kind) for _ in range(B)]
-        N, kinds, S = engine._fill(engine._padded([x.values for x in xs], L), system)
+        N, kinds, S = engine._fill(engine._padded([x.values for x in xs], L), system, L)
         for b, x in enumerate(xs):
             one = build_tables(x, system)
             row = engine.IntervalTables(system, x.indices, one.vabs, N[b],
@@ -1016,6 +1018,136 @@ class TestBatchedFill:
             assert kinds[b].tobytes() == one.kind.tobytes()
             assert all(row.sums(i, j).tobytes() == one.sums(i, j).tobytes()
                        for i in range(L) for j in range(i, L))
+
+
+def _capped_fill(xs, system):
+    """The tables of each of xs, same support size, from one N-only fill:
+    N through ``_n_tables``, kind and S from the capped ``_fill`` it runs."""
+    rows = [x.values for x in xs]
+    Ns = dict(engine._n_tables(rows, system, engine.DEFAULT_SUPPORT_GUARD))
+    _, kinds, S = engine._fill(engine._padded(rows, len(rows[0])), system)
+    return [engine.IntervalTables(system, x.indices, None, Ns[b],
+                                  [plane[b] for plane in S], kinds[b])
+            for b, x in enumerate(xs)]
+
+
+def _assert_capped_exact(xs, system):
+    """N and kind are build_tables', and every length ell holds the first
+    min(ell, K) part counts of its sums, for the one final cap K: every
+    raise fills the lengths already filled up to the new cap."""
+    for x, capped in zip(xs, _capped_fill(xs, system)):
+        t = build_tables(x, system)
+        assert capped.N.tobytes() == t.N.tobytes()
+        assert capped.kind.tobytes() == t.kind.tobytes()
+        L = t.size
+        K = int(np.isfinite(capped.sums(0, L - 1)).sum())
+        for ell in range(1, L + 1):
+            m, got = min(ell, K), capped.length_sums(ell)
+            assert got[:, :m].tobytes() == t.length_sums(ell)[:, :m].tobytes(), ell
+            assert (got[:, m:] == -np.inf).all(), ell
+
+
+class _BandLog:
+    """The (ell, c0, c1) of every ``_fill_band`` call: one column band of
+    one length."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        band = engine._fill_band
+        monkeypatch.setattr(engine, "_fill_band", lambda N_band, S, groups, ell, c0, c1, rows:
+                            self.calls.append((ell, c0, c1))
+                            or band(N_band, S, groups, ell, c0, c1, rows))
+
+    def refills(self):
+        return [c for c in self.calls if c[1] > 1]
+
+
+class TestPartCountCap:
+    """The N-only fill fills each length's part counts up to a cap that
+    doubles on demand; its N and kind must be ``build_tables``' (every
+    part count) bit for bit.  Every test runs from the default start and
+    from the smallest one, where every raise and refill path runs."""
+
+    SYSTEMS = [F_SYSTEM, G_SYSTEM, log2_affine_system("h", 2, 1.5, 0.7), ODD_SYSTEM]
+    KINDS = ["random", "rounded", "near_flat"]
+
+    @pytest.fixture(autouse=True, params=[None, 2], ids=["start-default", "start-2"])
+    def start(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(engine, "_PART_CAP", request.param)
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+    def test_matches_full_fill(self, system):
+        rng = np.random.default_rng(17)
+        for k, L in enumerate([1, 2, 3, 5, 8, 15, 16, 17, 18, 24, 31, 32, 33, 47, 64, 65, 100]):
+            B = 1 + k % 6 if L <= 65 else 2
+            _assert_capped_exact([_batch_vector(rng, L, self.KINDS[(k + j) % 3])
+                                  for j in range(B)], system)
+
+    def test_one_row_raises_for_the_batch(self, monkeypatch):
+        # under G at L = 128 the random row's scans run past part count 17,
+        # the sparse and geometric rows' stop by 9
+        L = 128
+        rng = np.random.default_rng(L)
+        lone = FinVector.from_dense(rng.uniform(0.05, 2.0, L))
+        rest = [FinVector.from_dense(np.where(rng.random(L) < 0.2, 2.0, 0.01)),
+                FinVector.from_dense(0.9 ** np.arange(L))]
+        log = _BandLog(monkeypatch)
+        _capped_fill(rest, G_SYSTEM)
+        quiet = log.refills()
+        log.calls.clear()
+        batch = rest[:1] + [lone] + rest[1:]
+        _assert_capped_exact(batch, G_SYSTEM)
+        assert log.refills()
+        if engine._PART_CAP == 16:
+            assert quiet == []
+
+    @pytest.mark.parametrize("name,L,rounded", sorted(TestGoldenDigests.DP))
+    def test_golden_vectors(self, name, L, rounded):
+        _assert_capped_exact([_golden_vector(L, 1000 + L, rounded)], engine.get_system(name))
+
+    def test_norm_values_read_the_capped_fill(self):
+        rng = np.random.default_rng(23)
+        xs = [_batch_vector(rng, 40, kind) for kind in self.KINDS]
+        got = norm_values(xs, G_SYSTEM, memo=None)
+        assert got == [build_tables(x, G_SYSTEM).value() for x in xs]
+
+
+class TestPartCountCapWork:
+    """The cap saves the part counts no scan reads, and costs a system
+    whose scans never stop early nothing but one test per doubling."""
+
+    @staticmethod
+    def _row(L):
+        return engine._padded([np.random.default_rng(L).uniform(0.05, 2.0, L)], L)
+
+    def test_g_fill_stops_short_of_full_rows(self, monkeypatch):
+        log = _BandLog(monkeypatch)
+        engine._fill(self._row(96), G_SYSTEM)
+        assert max(c1 for _, _, c1 in log.calls) < 96
+
+    @pytest.mark.parametrize("L", [24, 64, 96])
+    def test_f_fills_each_length_in_one_pass(self, monkeypatch, L):
+        log = _BandLog(monkeypatch)
+        engine._fill(self._row(L), F_SYSTEM)
+        assert [c[:2] for c in log.calls] == [(ell, 1) for ell in range(2, L + 1)]
+        assert log.calls[-1][2] == L
+
+    def test_peak_no_higher_than_build_tables(self):
+        x = _golden_vector(128, 5, False)
+        rows = [x.values]
+
+        def peak(f):
+            f()             # first-call allocations are not the kernel's
+            tracemalloc.start()
+            try:
+                f()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        for system in (F_SYSTEM, G_SYSTEM):
+            full = peak(lambda: build_tables(x, system))
+            assert peak(lambda: engine._fill(engine._padded(rows, 128), system)) <= full
 
 
 class TestNormValues:
