@@ -1115,7 +1115,7 @@ class TestPartCountCap:
 
 class TestPartCountCapWork:
     """The cap saves the part counts no scan reads, and costs a system
-    whose scans never stop early nothing but one test per doubling."""
+    whose scans stop late (F) nothing but one test per doubling."""
 
     @staticmethod
     def _row(L):
