@@ -420,29 +420,27 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
         sup = np.maximum(sup[:, :cnt], V[:, ell - 1:])
         rows[:, :, 0] = sup
         l1 = np.add.reduce(win[:, :cnt, :ell], axis=2).reshape(-1)
-        if ell < cap or cap >= L:
-            arg = _scan_length(rows.reshape(B * cnt, ell), l1, wv[:ell])[0]
-        else:
-            while True:
-                width = n1 + (n1 < ell)    # a column of -inf tests n1 + 1 parts
-                rows[:, :, n1:width] = -np.inf
-                arg, dropped = _scan_length(rows.reshape(B * cnt, ell)[:, :width], l1,
-                                            wv[:width])
-                # a capped scan that has not stopped by n1 + 1 parts raises
-                # the cap; at length cap, one that has not stopped by
-                # cap / 2 + 1 raises it before the lengths it would split
-                stop = n1 + 1 if n1 < ell else cap // 2 + 1
-                if ell < cap or cap >= L or dropped[:, stop - 2].all():
-                    break
-                old, cap = cap, 2 * cap
-                if n1 == ell:
-                    break
-                for ln in range(old + 1, ell):
-                    _fill_band(N_band, S, groups, ln, old, min(ln, cap), None)
-                n1 = min(ell, cap)
-                rows[:, :, 0] = sup
-                _fill_band(N_band, S, groups, ell, old, n1, rows)
-            del dropped
+        while True:
+            scan = rows.reshape(B * cnt, ell)
+            if n1 < ell:      # a last column of -inf tests n1 + 1 parts
+                scan = scan[:, :n1 + 1]
+                scan[:, n1] = -np.inf
+            arg, dropped = _scan_length(scan, l1, wv[:scan.shape[1]])
+            # a capped scan that has not stopped by n1 + 1 parts raises the
+            # cap; at length cap, one that has not stopped by cap / 2 + 1
+            # raises it before the lengths it would split
+            if (ell < cap or cap >= L
+                    or dropped[:, (n1 if n1 < ell else cap // 2) - 1].all()):
+                break
+            old, cap = cap, 2 * cap
+            if n1 == ell:
+                break
+            for ln in range(old + 1, ell):
+                _fill_band(N_band, S, groups, ln, old, min(ln, cap), None)
+            n1 = min(ell, cap)
+            rows[:, :, 0] = sup
+            _fill_band(N_band, S, groups, ell, old, n1, rows)
+        del dropped
         kind_band[:, :cnt, ell - 1] = part_count[arg].reshape(B, cnt)
         N_band[:, :cnt, ell - 1] = rows[:, :, 0]
         del arg               # freed before the next add-max, where fills peak

@@ -1,18 +1,19 @@
-"""Alternating parent/change pairs of ``bench/run.py``, summarised as a
+"""Alternating parent/change pairs of the benchmark, summarised as a
 BENCH_<n>.json file.
 
     python3 tools/bench_pairs.py --parent REV --change REV --out BENCH_n.json \
-        --workdir DIR [--workloads dp_random block_pipeline cli_cold]
-        [--pairs 10] [--seconds 42]
+        --workdir DIR
 
+The command, the run length and the workloads are BENCHMARK.json's.
 Each side runs from its own ``git archive`` copy of its revision, made
-under DIR.  Pair s runs ``bench/run.py --workload W --seed s`` on both
-sides, the parent first on odd seeds and the change first on even ones.
-The output holds the last stdout line of every run and, per metric, each
-side's quartiles (inclusive method), the change's median over the
-parent's minus one, and the number of pairs the change won (lower is
-better for every end-to-end metric; ties count for neither side).
-Runs already in the output file are kept, so an interrupted run resumes.
+under DIR.  Pair s (s = 1..10) runs every workload with ``--seed s`` on
+both sides, the parent first on odd seeds and the change first on even
+ones.  The output holds the last stdout line of every run and, per
+metric, each side's quartiles (inclusive method), the change's median
+over the parent's minus one, and the number of pairs the change won
+(lower is better for every end-to-end metric; ties count for neither
+side).  An interrupted run resumes from the runs already in the output
+file, which must name the same revisions, command and machine.
 """
 
 from __future__ import annotations
@@ -27,20 +28,22 @@ import sys
 from importlib.metadata import version
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 SIDES = ("parent", "change")
 
 
 def checkout(rev: str, dest: Path) -> Path:
     if not dest.exists():
         dest.mkdir(parents=True)
-        archive = subprocess.run(["git", "archive", rev], check=True, capture_output=True)
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True)
         subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds)],
+def run_once(tree: Path, command: list[str], workload: str, seed: int) -> dict:
+    out = subprocess.run(command + ["--workload", workload, "--seed", str(seed)],
                          cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -64,43 +67,48 @@ def summarise(runs: dict) -> dict:
     return summary
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--workdir", required=True, type=Path)
-    ap.add_argument("--workloads", nargs="+",
-                    default=["dp_random", "block_pipeline", "cli_cold"])
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=42)
     args = ap.parse_args()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    command = spec["command"] + ["--seconds", str(spec["run_seconds"])]
 
-    revs = {side: subprocess.run(["git", "rev-parse", getattr(args, side)], check=True,
-                                 capture_output=True, text=True).stdout.strip()
+    revs = {side: subprocess.run(["git", "rev-parse", "--verify", getattr(args, side)],
+                                 cwd=ROOT, check=True, capture_output=True,
+                                 text=True).stdout.strip()
             for side in SIDES}
-    trees = {side: checkout(revs[side], args.workdir / side) for side in SIDES}
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {
-        "change": "the commit that adds this file",
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds}",
-        "design": (f"{args.pairs} pairs per workload, seeds 1-{args.pairs}, parent first on "
-                   "odd seeds and change first on even seeds; each side runs from its own "
+    head = {
+        "change": revs["change"],
+        "command": " ".join(command + ["--workload", "W", "--seed", "S"]),
+        "design": (f"{PAIRS} pairs per workload, seeds 1-{PAIRS}, parent first on odd "
+                   "seeds and change first on even seeds; each side runs from its own "
                    "copy of the tree; 'runs' holds the last stdout line of every run, "
                    "'summary' each metric's quartiles and the pairs the change won"),
         "machine": f"{os.cpu_count()}-core {platform.system()} {platform.machine()}, "
                    f"CPython {platform.python_version()}, numpy {version('numpy')}",
         "parent": revs["parent"],
-        "workloads": {},
     }
-    for workload in args.workloads:
+    doc = json.loads(args.out.read_text()) if args.out.exists() else dict(head, workloads={})
+    stale = sorted(k for k in head if doc.get(k) != head[k])
+    if stale:
+        sys.stderr.write(f"{args.out}: {', '.join(stale)} differ from this run; "
+                         "move the file away to start afresh\n")
+        return 1
+    trees = {side: checkout(revs[side], args.workdir / revs[side]) for side in SIDES}
+
+    for workload in (w["name"] for w in spec["workloads"]):
         entry = doc["workloads"].setdefault(
             workload, {"runs": {side: {} for side in SIDES}})
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = SIDES if seed % 2 else SIDES[::-1]
             for side in order:
                 if str(seed) not in entry["runs"][side]:
                     entry["runs"][side][str(seed)] = run_once(
-                        trees[side], workload, seed, args.seconds)
+                        trees[side], command, workload, seed)
                     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
             print(workload, seed, flush=True)
         runs = entry["runs"]
@@ -109,7 +117,8 @@ def main() -> None:
         entry["pairs"] = len(set(runs["parent"]) & set(runs["change"]))
         entry["summary"] = summarise(runs)
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
