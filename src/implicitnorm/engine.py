@@ -27,10 +27,13 @@ lengths: all starts of one length are filled by one batched max over the
 first part's length (part counts a remainder cannot hold read -inf and
 drop out), and one vectorized scan then picks each interval's norm and
 part count.  N and kind are written and read through strided diagonal
-views.  S keeps the planes of S_GROUP consecutive right ends j in one
-array indexed [j, length, part count], sized for the group's last right
-end, so a batch of starts reads one plain slice.  The tables take about
-8 L^3 / 3 bytes, so the 1 GiB cap admits supports up to 735.
+views.  S keeps the planes of a group of consecutive right ends j in
+one array indexed [j, length, part count], sized for the group's last
+right end, so a batch of starts reads one plain slice.  Up to L = 50,
+where the whole cube of planes takes at most 1 MiB, one group holds
+every right end, so each length is one add-max step and one write; past
+it groups of S_GROUP = 4 keep the tables near 8 L^3 / 3 bytes, so the
+1 GiB cap admits supports up to 735.
 
 The fill, ``_fill``, runs on a stack of B vectors of one support size:
 every table has a leading batch axis, so each step serves all B rows with
@@ -105,12 +108,15 @@ CONSTANT_ROUTE_MIN = 65
 # DP (256 KB): a step takes as many first pieces as fit beside the part
 # counts their remainders can hold, so narrow rows take more per step.
 CONST_BUDGET = 1 << 15
-# Right ends whose S planes share one 3-D array, so that one batched fill
-# step reads a plain slice over up to S_GROUP consecutive starts.  Larger
-# groups batch more starts but pad more planes (each is sized for the
-# group's last right end): at S_GROUP = 4 a fill at L = 128 peaks no
-# higher than with one array per right end.
+# Right ends whose S planes share one 3-D array past the cube size below,
+# so that one batched fill step reads a plain slice over up to S_GROUP
+# consecutive starts.  Larger groups batch more starts but pad more
+# planes (each is sized for the group's last right end): at S_GROUP = 4 a
+# fill at L = 128 peaks no higher than with one array per right end.
 S_GROUP = 4
+# Bytes of one vector's S planes that may sit in a single group of every
+# right end (``_group``): 8 L^3 fits up to L = 50.
+_CUBE_BYTES = 1 << 20
 # Elements per batch row of the add temporary of one fill step; numpy's
 # iterator buffers come on top, up to this size for each strided operand.
 DP_BATCH = 1 << 13
@@ -259,7 +265,7 @@ class IntervalTables:
     indices: tuple[int, ...]
     vabs: np.ndarray
     N: np.ndarray          # N[i, j]
-    S: list[np.ndarray]    # [j // S_GROUP][j % S_GROUP, length - 1, n - 1], see sums
+    S: list[np.ndarray]    # [j // G][j % G, length - 1, n - 1], G = len(S[0]): see sums
     kind: np.ndarray       # 0 = sup-norm leaf, else winning part count
 
     @property
@@ -272,13 +278,13 @@ class IntervalTables:
     def sums(self, i: int, j: int) -> np.ndarray:
         """Best part-norm sums of positions i..j: entry n - 1 is the best
         over partitions into exactly n runs, for n = 1..j-i+1."""
-        g, p = divmod(j, S_GROUP)
+        g, p = divmod(j, len(self.S[0]))
         return self.S[g][p, j - i, :j - i + 1]
 
     def length_sums(self, ell: int) -> np.ndarray:
         """The sums of every run of ell positions: row i is
         sums(i, i + ell - 1), for i = 0..size-ell."""
-        g, p = divmod(ell - 1, S_GROUP)
+        g, p = divmod(ell - 1, len(self.S[0]))
         return np.concatenate([self.S[g][p:, ell - 1, :ell]]
                               + [plane[:, ell - 1, :ell] for plane in self.S[g + 1:]])
 
@@ -295,16 +301,24 @@ class IntervalTables:
 
     def _splits(self, i: int, j: int, n: int) -> np.ndarray:
         """N[i, m] + sums(m + 1, j)[n - 2] for m = i..j-n+1."""
-        g, p = divmod(j, S_GROUP)
+        g, p = divmod(j, len(self.S[0]))
         return self.N[i, i:j - n + 2] + self.S[g][p, n - 2:j - i, n - 2][::-1]
+
+
+def _group(L: int) -> int:
+    """Right ends per S array at support size L: all of them while the
+    cube of planes, 8 L^3 bytes, fits _CUBE_BYTES, else S_GROUP."""
+    return L if 8 * L ** 3 <= _CUBE_BYTES else S_GROUP
 
 
 def dp_table_bytes(L: int) -> int:
     """Bytes of the N (float64), kind (int16) and grouped S tables at
-    support size L: full group g holds S_GROUP planes of (S_GROUP (g+1))^2
-    cells, a last partial group L % S_GROUP planes of L^2."""
-    q, r = divmod(L, S_GROUP)
-    cells = S_GROUP ** 3 * q * (q + 1) * (2 * q + 1) // 6 + r * L * L
+    support size L, G = ``_group(L)``: full group g holds G planes of
+    (G (g+1))^2 cells, a last partial group L % G planes of L^2.  One
+    group of every right end is 8 L^3 + 10 L^2 bytes."""
+    G = _group(L)
+    q, r = divmod(L, G)
+    cells = G ** 3 * q * (q + 1) * (2 * q + 1) // 6 + r * L * L
     return 8 * cells + 10 * L * L
 
 
@@ -388,7 +402,9 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
     cap = _PART_CAP if cap is None else cap
     # wv[n - 1] divides the n-part sums; wv[0] = 1 passes the sup norm
     wv = np.concatenate(([1.0], system.weight_table(L)[2:L + 1]))
-    groups = [(j0, min(j0 + S_GROUP, L) - 1) for j0 in range(0, L, S_GROUP)]
+    # G lives in the comprehension: as a local of _fill it measured 40
+    # bytes more at the L = 128 peak (``TestMemoryGuard``)
+    groups = [(j0, min(j0 + G, L) - 1) for G in [_group(L)] for j0 in range(0, L, G)]
 
     N = np.full((B, L, L), -np.inf)
     kind = np.zeros((B, L, L), dtype=np.int16)
@@ -444,7 +460,7 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
         kind_band[:, :cnt, ell - 1] = part_count[arg].reshape(B, cnt)
         N_band[:, :cnt, ell - 1] = rows[:, :, 0]
         del arg               # freed before the next add-max, where fills peak
-        done, live = rows[:, :, :n1] if n1 < ell else rows, (ell - 1) // S_GROUP
+        done, live = rows[:, :, :n1] if n1 < ell else rows, (ell - 1) // _group(L)
         for (j0, j1), plane in zip(groups[live:], S[live:]):
             a = max(j0, ell - 1)
             plane[:, a - j0:, ell - 1, :n1] = done[:, a - ell + 1:j1 - ell + 2]
@@ -466,7 +482,8 @@ def _fill_band(N_band: np.ndarray, S: list[np.ndarray], groups: list[tuple[int, 
     span = min(K, max(1, DP_BATCH // m))
     end = c0 - 2 if c0 > 1 else None    # past the shortest rest, length c0
     amax = np.maximum.reduce
-    live = (ell - 1) // S_GROUP    # first group holding a right end
+    # first group holding a right end; N_band is (B, L - 1, L + 1)
+    live = (ell - 1) // _group(N_band.shape[2] - 1)
     for (j0, j1), plane in zip(groups[live:], S[live:]):
         for a in range(max(j0, ell - 1), j1 + 1, step):
             b = min(a + step, j1 + 1)

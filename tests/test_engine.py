@@ -843,11 +843,18 @@ class TestVectorizedKernel:
         _assert_matches_loop_reference(FinVector.from_dense(vals), system)
 
     @pytest.mark.parametrize("system", [F_SYSTEM, G_SYSTEM], ids=["f", "g"])
-    @pytest.mark.parametrize("L", [9, 17, 33, 70])
-    def test_matches_loop_reference_across_groups(self, L, system):
+    @pytest.mark.parametrize("L,cube", [pytest.param(L, None, id=str(L))
+                                        for L in (9, 17, 33, 50, 51, 70)]
+                             + [pytest.param(L, 0, id=f"{L}-groups") for L in (9, 17, 33)])
+    def test_matches_loop_reference_across_groups(self, L, cube, system, monkeypatch):
         # supports past several S groups and past the batch size, with
-        # rounded coefficients planting exact ties between splits
-        _assert_matches_loop_reference(_golden_vector(L, 700 + L, True), system)
+        # rounded coefficients planting exact ties between splits; up to
+        # L = 50 the default keeps every right end in one S array, and
+        # "groups" keeps groups of S_GROUP there too
+        if cube is not None:
+            monkeypatch.setattr(engine, "_CUBE_BYTES", cube)
+        t = _assert_matches_loop_reference(_golden_vector(L, 700 + L, True), system)
+        assert len(t.S) == (1 if cube is None and L <= 50 else -(-L // engine.S_GROUP))
 
     def test_early_exit_is_reproduced(self):
         # Found by search: the right-nested all-singleton sum of this
@@ -965,6 +972,30 @@ class TestMemoryGuard:
             tracemalloc.stop()
         # the N table alone would be 8 * 121^2 bytes, about 117 KB
         assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("L,arrays", [(50, 1), (51, 13)], ids=["cube", "groups"])
+    def test_estimate_is_exact_at_the_cube_edge(self, monkeypatch, L, arrays):
+        # one S array of every right end up to L = 50, groups of four past
+        # it, so the estimate falls from 50 to 51
+        monkeypatch.setattr(engine, "DP_MEMORY_LIMIT_BYTES", dp_table_bytes(L))
+        t = build_tables(_golden_vector(L, 5, False))
+        assert len(t.S) == arrays
+        assert dp_table_bytes(L) == \
+            t.N.nbytes + t.kind.nbytes + sum(c.nbytes for c in t.S)
+
+    @pytest.mark.parametrize("L", [50, 51], ids=["cube", "groups"])
+    def test_peak_within_tables_and_one_step(self, L):
+        # the tables, plus one add-max step's temporary and the iterator
+        # buffers of its strided operands (DP_BATCH elements each)
+        x = _golden_vector(L, 5, False)
+        build_tables(x)         # first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            build_tables(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dp_table_bytes(L) + 4 * 8 * engine.DP_BATCH
 
     def test_composition_growth_stays_under_cap(self, monkeypatch):
         monkeypatch.setattr(engine, "DP_MEMORY_LIMIT_BYTES", 8 * 401 ** 2)
@@ -1085,6 +1116,16 @@ class TestPartCountCap:
                                   for j in range(B)], system)
 
     def test_one_row_raises_for_the_batch(self, monkeypatch):
+        self._one_row_raises(monkeypatch)
+
+    def test_one_row_raises_in_one_cube(self, monkeypatch):
+        # the same batch with every right end's S plane in one array
+        monkeypatch.setattr(engine, "_CUBE_BYTES", 8 * 128 ** 3)
+        assert engine._group(128) == 128
+        self._one_row_raises(monkeypatch)
+
+    @staticmethod
+    def _one_row_raises(monkeypatch):
         # under G at L = 128 the random row's scans run past part count 17,
         # the sparse and geometric rows' stop by 9
         L = 128
