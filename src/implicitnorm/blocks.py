@@ -139,21 +139,29 @@ def greedy_split(y: FinVector, eps: float, system: NormSystem = F_SYSTEM, *,
     coordinate already above eps makes the decomposition impossible and
     is refused.
 
-    One interval DP table over a window of y serves successive pieces:
-    its N[a, b] is bitwise the norm of segment a..b.  A read past its
-    right end rebuilds it from the current piece start, twice as wide
-    when the segment has outgrown it.  Segments the engine routes flat
-    (``_routes_flat``) read the shared composition tables instead, as
-    ``norm_value`` does, and skip the window.  Segment norms are not
-    written to the memo.
+    Segment norms are read from interval DP tables, whose N[a, b] is
+    bitwise the norm of segment a..b.  Up to support 50, where the engine
+    keeps every right end's S plane in one array (``engine._group``),
+    y's whole N-only table is filled once (``engine._n_tables``) and
+    serves every segment.  Past it, one table over a window of y serves
+    successive pieces, and a read past its right end rebuilds it from the
+    current piece start, twice as wide when the segment has outgrown it;
+    a whole table there costs about L^4 / 12 steps, while the windows
+    stay short.  Segments the engine routes flat (``_routes_flat``) read
+    the shared composition tables instead, as ``norm_value`` does, and
+    skip the window.  Segment norms are not written to the memo.
     """
-    return _greedy_split(y, eps, system, tol, guard)
+    L, table = y.support_size(), None
+    if L and engine._group(L) == L:
+        table = next(engine._n_tables([y.values], system, guard), (0, None))[1]
+    return _greedy_split(y, eps, system, tol, guard, table)
 
 
 def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guard: int,
                   table: Optional[np.ndarray] = None) -> SplitProfile:
     """``greedy_split``, reading ``table``, y's whole N table, when given
-    as its first window."""
+    (the whole-table rule up to support 50, and ``stabilize_subsequence``'s
+    members); without it, from doubling windows."""
     if eps <= 0.0:
         raise DomainError("eps must be positive")
     if y.is_zero():

@@ -31,9 +31,11 @@ views.  S keeps the planes of a group of consecutive right ends j in
 one array indexed [j, length, part count], sized for the group's last
 right end, so a batch of starts reads one plain slice.  Up to L = 50,
 where the whole cube of planes takes at most 1 MiB, one group holds
-every right end, so each length is one add-max step and one write; past
-it groups of S_GROUP = 4 keep the tables near 8 L^3 / 3 bytes, so the
-1 GiB cap admits supports up to 735.
+every right end: the sums of one length are the view
+S[0][:, ell-1:, ell-1, :ell], and each length is one add-max step into
+it and one scan of it in place.  Past it groups of S_GROUP = 4 keep the
+tables near 8 L^3 / 3 bytes, so the 1 GiB cap admits supports up to
+735; a length is then filled and scanned in a buffer and written back.
 
 The fill, ``_fill``, runs on a stack of B vectors of one support size:
 every table has a leading batch axis, so each step serves all B rows with
@@ -59,11 +61,14 @@ that can still decide the norm, and readers add more on demand
 ``layer_sums(k)`` and ``witness()``; ``norm`` scans character layers up
 to the winning part count before it scans them all.  Both routes record
 each interval's winning part count as they fill, so one walk,
-``_witness``, reads the witness from either route's tables.  ``_plan`` runs the one guard and
-memory check, ``_check_resources``, before any memo read.  Its route
-rule, ``_routes_flat``, is also what ``greedy_split`` applies before each
-interval-table read: one table per ``stabilize_subsequence`` member,
-filled once, or its own windows when the member routes flat or is refused.
+``_witness``, reads the witness from either route's tables.  ``_plan``
+runs the one guard and memory check, ``_check_resources``, before any
+memo read.  Its route rule, ``_routes_flat``, is also what
+``greedy_split`` applies before each interval-table read.  A split reads
+one whole N table per vector, filled once through ``_n_tables``, when
+``_group(L) == L`` (L <= 50) and for every ``stabilize_subsequence``
+member; larger vectors, and members that route flat or are refused,
+split from their own windows.
 Every weight these kernels divide by is a slice of one array per system,
 ``NormSystem.weight_table``, grown on demand.
 
@@ -90,7 +95,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .vectors import FinVector, Functional, WitnessTree
 
@@ -396,7 +401,12 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
     of S, -inf past them.  At length cap a scan that has not stopped by
     cap / 2 + 1 raises the cap before the next length: a system whose
     scans stop late (F) fills each length in one pass.  At cap >= L,
-    what ``build_tables`` passes, every part count is filled."""
+    what ``build_tables`` passes, every part count is filled.
+
+    With one S array of every right end (``_group(L) == L``) a length's
+    sums are filled, capped with the -inf test column and scanned in
+    place, in the view S[0][:, ell-1:, ell-1, :ell]; groups of S_GROUP
+    do that in a buffer and write each length back."""
     B, L = pad.shape[0], pad.shape[1] // 2
     V = pad[:, :L]
     cap = _PART_CAP if cap is None else cap
@@ -415,11 +425,16 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
     N_band = N.reshape(B, -1)[:, :L * L - 1].reshape(B, L - 1, L + 1)
     kind_band = kind.reshape(B, -1)[:, :L * L - 1].reshape(B, L - 1, L + 1)
     # rows[b, i, n - 1] for the current length: S of the interval at start
-    # i with n parts; the buffer fits the largest length, ell about L / 2
-    buf = np.empty(B * ((L + 2) // 2) * ((L + 1) // 2))
+    # i with n parts.  One group of every right end holds them as the view
+    # S[0][:, ell - 1:, ell - 1, :ell], so they are filled and scanned in
+    # place; groups of S_GROUP fill a buffer that fits the largest length,
+    # ell about L / 2, and write it back.
+    cube = len(S) == 1
+    buf = None if cube else np.empty(B * ((L + 2) // 2) * ((L + 1) // 2))
     # win[b, i, k] = V[b, i + k]: every run's entries, one view per fill;
     # the zero padding keeps the view in bounds, and no run reads it
-    win = sliding_window_view(pad, L, axis=1)
+    step = pad.strides[1]
+    win = as_strided(pad, (B, L, L), (pad.strides[0], step, step), writeable=False)
 
     N.reshape(B, -1)[:, ::L + 1] = V
     for (j0, j1), plane in zip(groups, S):
@@ -430,23 +445,24 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
 
     for ell in range(2, L + 1):
         cnt = L - ell + 1     # starts 0..L-ell, right ends ell-1..L-1
-        rows = buf[:B * cnt * ell].reshape(B, cnt, ell)
+        rows = (S[0][:, ell - 1:, ell - 1, :ell] if cube
+                else buf[:B * cnt * ell].reshape(B, cnt, ell))
         n1 = min(ell, cap)    # the part counts filled
         _fill_band(N_band, S, groups, ell, 1, n1, rows)
         sup = np.maximum(sup[:, :cnt], V[:, ell - 1:])
         rows[:, :, 0] = sup
-        l1 = np.add.reduce(win[:, :cnt, :ell], axis=2).reshape(-1)
+        l1 = np.add.reduce(win[:, :cnt, :ell], axis=2)
         while True:
-            scan = rows.reshape(B * cnt, ell)
+            scan = rows
             if n1 < ell:      # a last column of -inf tests n1 + 1 parts
-                scan = scan[:, :n1 + 1]
-                scan[:, n1] = -np.inf
-            arg, dropped = _scan_length(scan, l1, wv[:scan.shape[1]])
+                scan = rows[:, :, :n1 + 1]
+                scan[:, :, n1] = -np.inf
+            arg, dropped = _scan_length(scan, l1, wv[:scan.shape[2]])
             # a capped scan that has not stopped by n1 + 1 parts raises the
             # cap; at length cap, one that has not stopped by cap / 2 + 1
             # raises it before the lengths it would split
             if (ell < cap or cap >= L
-                    or dropped[:, (n1 if n1 < ell else cap // 2) - 1].all()):
+                    or dropped[:, :, (n1 if n1 < ell else cap // 2) - 1].all()):
                 break
             old, cap = cap, 2 * cap
             if n1 == ell:
@@ -457,10 +473,12 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
             rows[:, :, 0] = sup
             _fill_band(N_band, S, groups, ell, old, n1, rows)
         del dropped
-        kind_band[:, :cnt, ell - 1] = part_count[arg].reshape(B, cnt)
+        kind_band[:, :cnt, ell - 1] = part_count[arg]
         N_band[:, :cnt, ell - 1] = rows[:, :, 0]
         del arg               # freed before the next add-max, where fills peak
-        done, live = rows[:, :, :n1] if n1 < ell else rows, (ell - 1) // _group(L)
+        if cube:
+            continue
+        done, live = rows[:, :, :n1], (ell - 1) // _group(L)
         for (j0, j1), plane in zip(groups[live:], S[live:]):
             a = max(j0, ell - 1)
             plane[:, a - j0:, ell - 1, :n1] = done[:, a - ell + 1:j1 - ell + 2]
@@ -503,14 +521,15 @@ def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Norm and winning part count of every interval of one length.
 
-    ``rows[i]`` holds sup, then the best sums over n = 2.. parts, of the
-    interval at start i; ``l1[i]`` is the np.sum of its entries and ``w``
+    ``rows[b, i]`` holds sup, then the best sums over n = 2.. parts, of
+    row b's interval at start i, and may be a strided view (``_fill``
+    passes S itself); ``l1[b, i]`` is the np.sum of its entries and ``w``
     the divisors (1, then w(n)).  The result is bitwise that of a scan
     over ascending n that stops at the first n whose bound l1 / w(n)
     falls below the incumbent (the running max of sup and the candidates
     before n) and replaces the incumbent only on strict improvement:
     candidates from the stop on are dropped, and the first maximum of sup
-    and the rest wins.  Writes the norms into ``rows[:, 0]`` and returns
+    and the rest wins.  Writes the norms into ``rows[..., 0]`` and returns
     the winning columns (0 for sup, n - 1 for n parts) and ``dropped``,
     whose column n - 2 says whether the scan has stopped by n parts.
     Since a column's test reads only the columns before it, a last column
@@ -519,10 +538,10 @@ def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray
     """
     vals = rows / w
     dropped = np.logical_or.accumulate(
-        l1[:, None] / w[1:] < np.maximum.accumulate(vals, axis=1)[:, :-1], axis=1)
-    vals[:, 1:][dropped] = -np.inf
-    arg = vals.argmax(axis=1)
-    rows[:, 0] = vals[np.arange(len(arg)), arg]
+        l1[..., None] / w[1:] < np.maximum.accumulate(vals, axis=-1)[..., :-1], axis=-1)
+    np.copyto(vals[..., 1:], -np.inf, where=dropped)
+    arg = vals.argmax(axis=-1)
+    rows[..., 0] = vals.max(axis=-1)
     return arg, dropped
 
 

@@ -129,6 +129,34 @@ class TestGreedySplit:
         assert len(calls) < 60
         assert len(engine.GLOBAL_MEMO) == 0
 
+    @pytest.mark.parametrize("system", [F_SYSTEM, G_SYSTEM], ids=lambda s: s.name)
+    @pytest.mark.parametrize("L", [1, 2, 17, 49, 50, 51])
+    def test_whole_table_up_to_support_50(self, monkeypatch, L, system):
+        # one fill of y's whole N table while its S planes fit one array,
+        # doubling windows past it; either way the window path's split
+        rng = np.random.default_rng(L)
+        for x in (FinVector.from_dense(list(rng.uniform(0.05, 1.0, L))),
+                  FinVector.from_dense(list(1.0 + rng.uniform(-0.1, 0.1, L)))):
+            for eps in (1.0, 0.5, 0.25):
+                y = x.scale(min(1.0 / norm_value(x, system, memo=None), eps / x.linf()))
+                fills, builds = [], []
+                fill, build_tables = engine._fill, engine.build_tables
+                monkeypatch.setattr(engine, "_fill",
+                                    lambda *a: fills.append(a) or fill(*a))
+                monkeypatch.setattr(engine, "build_tables",
+                                    lambda *a, **k: builds.append(a) or build_tables(*a, **k))
+                prof = greedy_split(y, eps, system)
+                monkeypatch.undo()
+                if L <= 50:
+                    assert (len(fills), builds) == (1, [])
+                else:
+                    assert builds and len(fills) == len(builds)
+                window = blocks._greedy_split(y, eps, system, engine.DEFAULT_TOLERANCE,
+                                              engine.DEFAULT_SUPPORT_GUARD, None)
+                assert prof == window
+                assert np.array(prof.piece_norms).tobytes() == \
+                    np.array(window.piece_norms).tobytes()
+
 
 class TestSplitCountBounds:
     def test_frozen_values(self):

@@ -1,0 +1,50 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchPairs:
+    """The pair runner, with stand-ins for git and the benchmark runs:
+    each revision resolves to itself, and tree ``<workdir>/<rev>`` runs."""
+
+    @staticmethod
+    def _run(monkeypatch, tmp_path, wrong):
+        bp = _bench_pairs()
+        monkeypatch.setattr(bp.subprocess, "run",
+                            lambda cmd, **k: SimpleNamespace(stdout=cmd[-1] + "\n"))
+        monkeypatch.setattr(bp, "checkout", lambda rev, dest: dest)
+
+        def run_once(tree, command, workload, seed):
+            return {"attempted": 4, "correct": (tree.name, workload, seed) not in wrong,
+                    "failed": 0,
+                    "metrics": {"cycle_cost_ref": {"unit": "ref", "value": float(seed)}}}
+        monkeypatch.setattr(bp, "run_once", run_once)
+        out = tmp_path / "BENCH.json"
+        monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "p", "--change", "c",
+                                          "--out", str(out), "--workdir", str(tmp_path)])
+        return bp.main(), json.loads(out.read_text())["workloads"]
+
+    def test_all_correct(self, monkeypatch, tmp_path):
+        code, workloads = self._run(monkeypatch, tmp_path, set())
+        assert code == 0
+        assert all(w["incorrect_runs"] == {"parent": 0, "change": 0}
+                   for w in workloads.values())
+
+    def test_wrong_outputs_refused_after_writing(self, monkeypatch, tmp_path, capsys):
+        code, workloads = self._run(monkeypatch, tmp_path, {("c", "dp_random", 3)})
+        assert code == 1
+        assert workloads["dp_random"]["incorrect_runs"] == {"parent": 0, "change": 1}
+        assert workloads["dp_random"]["failed_operations"] == {"parent": 0, "change": 0}
+        assert workloads["dp_random"]["pairs"] == 10
+        assert "dp_random (change: 1)" in capsys.readouterr().err

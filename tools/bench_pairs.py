@@ -12,7 +12,10 @@ ones.  The output holds the last stdout line of every run and, per
 metric, each side's quartiles (inclusive method), the change's median
 over the parent's minus one, and the number of pairs the change won
 (lower is better for every end-to-end metric; ties count for neither
-side).  An interrupted run resumes from the runs already in the output
+side).  Each workload also counts each side's failed operations and its
+runs whose outputs were wrong (``"correct": false``); the script exits
+1 after writing the file when either side has such a run, since a
+speed-up from wrong outputs counts for nothing.  An interrupted run resumes from the runs already in the output
 file, which must name the same revisions, command and machine.
 """
 
@@ -114,9 +117,16 @@ def main() -> int:
         runs = entry["runs"]
         entry["failed_operations"] = {side: sum(r["failed"] for r in runs[side].values())
                                       for side in SIDES}
+        entry["incorrect_runs"] = {side: sum(not r["correct"] for r in runs[side].values())
+                                   for side in SIDES}
         entry["pairs"] = len(set(runs["parent"]) & set(runs["change"]))
         entry["summary"] = summarise(runs)
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    wrong = [f"{workload} ({side}: {n})" for workload, entry in doc["workloads"].items()
+             for side, n in entry["incorrect_runs"].items() if n]
+    if wrong:
+        sys.stderr.write(f"{args.out}: runs with wrong outputs: {', '.join(wrong)}\n")
+        return 1
     return 0
 
 
