@@ -15,8 +15,9 @@ over the parent's minus one, and the number of pairs the change won
 side).  Each workload also counts each side's failed operations and its
 runs whose outputs were wrong (``"correct": false``); the script exits
 1 after writing the file when either side has such a run, since a
-speed-up from wrong outputs counts for nothing.  An interrupted run resumes from the runs already in the output
-file, which must name the same revisions, command and machine.
+speed-up from wrong outputs counts for nothing.  An interrupted run
+resumes from the runs already in the output file, which must name the
+same revisions, command and machine.
 """
 
 from __future__ import annotations
