@@ -294,11 +294,8 @@ def tower_product(lam0: float, d: float, *, tail_tol: float = 1e-12,
         if u >= 1.0:
             raise DomainError(f"factor {k} undefined: d/sqrt(weight) = {u:.4g} >= 1")
         gamma = 1.0 / (1.0 - u)
-        if kind == "f":
-            lam9 = lam + LOG2_9
-            wtop = lam9 + (math.log2(1.0 + 2.0 ** (-lam9)) if lam9 < 1074 else 0.0)
-        else:
-            wtop = f_log2(lam)      # g(2r) = f(r)
+        # f(9r) on the f-tower; g(2r) = f(r) on the g-tower
+        wtop = f_log2(lam + LOG2_9) if kind == "f" else f_log2(lam)
         factor = gamma * (wtop / wk)
         factors.append(factor)
         log_sum += math.log(factor)

@@ -135,34 +135,33 @@ def greedy_split(y: FinVector, eps: float, system: NormSystem = F_SYSTEM, *,
 
     Each piece grows from the start of what remains one coordinate at a
     time and stops before the first right end whose norm exceeds eps
-    (values equal to eps within tolerance are included).  A single
-    coordinate already above eps makes the decomposition impossible and
-    is refused.
+    (values equal to eps within tolerance are included).  An eps that is
+    not positive, or a single coordinate already above eps, makes the
+    decomposition impossible and is refused before any table is filled.
 
-    Segment norms are read from interval DP tables, whose N[a, b] is
-    bitwise the norm of segment a..b.  Up to support 50, where the engine
-    keeps every right end's S plane in one array (``engine._group``),
-    y's whole N-only table is filled once (``engine._n_tables``) and
-    serves every segment.  Past it, one table over a window of y serves
-    successive pieces, and a read past its right end rebuilds it from the
-    current piece start, twice as wide when the segment has outgrown it;
-    a whole table there costs about L^4 / 12 steps, while the windows
-    stay short.  Segments the engine routes flat (``_routes_flat``) read
-    the shared composition tables instead, as ``norm_value`` does, and
-    skip the window.  Segment norms are not written to the memo.
+    Segment norms are read from N-only interval DP tables filled by
+    ``engine._n_tables``, whose N[a, b] is bitwise the norm of segment
+    a..b.  Up to support 50, where the engine keeps every right end's S
+    plane in one array (``engine._group``), y's whole table is filled once
+    and serves every segment.  Past it, one table over a window of y
+    serves successive pieces, and a read past its right end refills it
+    from the current piece start, twice as wide when the segment has
+    outgrown it; a whole table there costs about L^4 / 12 steps, while the
+    windows stay short.  Segments the engine routes flat (``_routes_flat``)
+    read the shared composition tables instead, as ``norm_value`` does,
+    and skip the window.  Segment norms are not written to the memo.
     """
-    L, table = y.support_size(), None
-    if L and engine._group(L) == L:
-        table = next(engine._n_tables([y.values], system, guard), (0, None))[1]
-    return _greedy_split(y, eps, system, tol, guard, table)
+    return _greedy_split(y, eps, system, tol, guard)
 
 
 def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guard: int,
                   table: Optional[np.ndarray] = None) -> SplitProfile:
     """``greedy_split``, reading ``table``, y's whole N table, when given
-    (the whole-table rule up to support 50, and ``stabilize_subsequence``'s
-    members); without it, from doubling windows."""
-    if eps <= 0.0:
+    (``stabilize_subsequence``'s members).  Without it, once eps and y are
+    accepted, y's whole table is filled when ``engine._group(L) == L`` and
+    the interval route admits L; otherwise segments read doubling windows,
+    each checked against the guard before its fill."""
+    if not eps > 0.0:
         raise DomainError("eps must be positive")
     if y.is_zero():
         return SplitProfile((), (), eps)
@@ -172,11 +171,10 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
     coords = y.coords
     vabs = tuple(abs(v) for _, v in coords)
     L = len(coords)
+    if table is None and engine._group(L) == L:
+        table = next(engine._n_tables([vabs], system, guard), (0, None))[1]
     # window[a - w0, b - w0] = N of a..b; a whole table covers every segment
     w0, width, window = 0, (0 if table is None else L), table
-
-    def seg(a: int, b: int) -> FinVector:
-        return FinVector(coords[a:b + 1])
 
     def seg_norm(a: int, b: int) -> float:
         nonlocal w0, width, window
@@ -186,7 +184,8 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
             if b - a >= width:
                 width = max(2 * width, b - a + 1)
             w0, width = a, min(width, L - a)
-            window = engine.build_tables(seg(a, a + width - 1), system, guard=guard).N
+            engine._check_resources(width, guard, flat=False)
+            window = next(engine._n_tables([vabs[a:a + width]], system, guard))[1]
         return float(window[a - w0, b - w0])
 
     pieces: list[FinVector] = []
@@ -199,7 +198,7 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
             if val > eps and not _close(val, eps, tol):
                 break
             e, nv = e + 1, val
-        pieces.append(seg(p, e))
+        pieces.append(FinVector(coords[p:e + 1]))
         norms.append(nv)
         p = e + 1
     return SplitProfile(tuple(pieces), tuple(norms), eps)
@@ -286,8 +285,8 @@ def average_split_experiment(eps: float, parts: int, m: int, n_len: int, *,
     least ceil(4 * parts / eps).  The average has constant coefficients,
     so both sides run through the composition fast path.
     """
-    if eps <= 0.0 or parts < 1:
-        raise DomainError("eps must be positive and parts >= 1")
+    if not eps > 0.0 or min(parts, m, n_len) < 1:
+        raise DomainError("eps must be positive and parts, m and n_len >= 1")
     certificate = system.weight_fn(m * n_len) / system.weight_fn(n_len)
     if certificate > 1.0 + eps / 2.0 + tol:
         raise DomainError(

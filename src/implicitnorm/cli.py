@@ -43,7 +43,7 @@ class Config:
     parallelism: int = 1    # validated only: every command runs in one thread
 
     def validated(self) -> "Config":
-        if self.tolerance <= 0.0:
+        if not self.tolerance > 0.0:
             raise DomainError("tolerance must be positive")
         if self.support_guard < 1:
             raise DomainError("support guard must be >= 1")
@@ -58,22 +58,40 @@ _CONFIG_TYPES = {float: ((int, float), "a number"), int: ((int,), "an integer"),
                  str: ((str,), "a string")}
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
+
+
+def _read_object(path: str, what: str, types: dict, exact: bool) -> dict:
+    """The JSON object in file ``path``, whose keys must be keys of
+    ``types`` (all of them when ``exact``), each value of the JSON types
+    ``types[key]`` names; an error names the offending key."""
+    data = json.loads(_read_file(path))
+    if not isinstance(data, dict):
+        raise DomainError(f"{what} must hold a JSON object")
+    for key, value in data.items():
+        if key not in types:
+            raise DomainError(f"unknown {what} key {key!r}")
+        allowed, kind = types[key]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise DomainError(f"{what} key {key!r} must be {kind}, "
+                              f"got {json.dumps(value)}")
+    missing = [key for key in types if key not in data] if exact else []
+    if missing:
+        raise DomainError(f"{what} missing key {missing[0]!r}")
+    return data
+
+
 def _load_config(path: Optional[str]) -> Config:
     cfg = Config()
     path = path or os.environ.get(CONFIG_ENV)
     if path:
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise DomainError("config file must hold a JSON object")
         known = {f.name: _CONFIG_TYPES[type(f.default)] for f in fields(Config)}
-        for key, value in data.items():
-            if key not in known:
-                raise DomainError(f"unknown config key {key!r}")
-            types, what = known[key]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise DomainError(f"config key {key!r} must be {what}, "
-                                  f"got {json.dumps(value)}")
+        for key, value in _read_object(path, "config", known, exact=False).items():
             setattr(cfg, key, value)
     return cfg
 
@@ -81,22 +99,33 @@ def _load_config(path: Optional[str]) -> Config:
 def _resolve_system(spec: str) -> NormSystem:
     if spec.lower() in ("f", "g"):
         return get_system(spec)
-    with open(spec) as fh:
-        data = json.load(fh)
+    number, integer, string = (_CONFIG_TYPES[t] for t in (float, int, str))
+    data = _read_object(spec, "custom system file",
+                        {"name": string, "min_parts": integer, "add": number,
+                         "scale": number}, exact=True)
     try:
-        return log2_affine_system(data["name"], int(data["min_parts"]),
-                                  float(data["add"]), float(data["scale"]))
-    except KeyError as exc:
-        raise DomainError(f"custom system file missing key {exc}") from exc
+        return log2_affine_system(data["name"], data["min_parts"], float(data["add"]),
+                                  float(data["scale"]))
+    except DomainError:
+        raise
+    except ValueError as exc:       # a weight outside log2's domain
+        raise DomainError(f"custom system weight: {exc}") from exc
 
 
 def _read_payload(arg: str) -> str:
     if arg == "-":
         return sys.stdin.read()
     if arg.startswith("@"):
-        with open(arg[1:]) as fh:
-            return fh.read()
+        return _read_file(arg[1:])
     return arg
+
+
+def _numbers(value, what: str) -> list:
+    """``value`` when it is a JSON list of numbers (bools refused)."""
+    if not (isinstance(value, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise DomainError(f"{what} must be a JSON list of numbers")
+    return value
 
 
 def _read_vector(arg: str) -> FinVector:
@@ -147,6 +176,9 @@ def cmd_seq(args, cfg: Config) -> tuple[int, object]:
         xs = _read_blocks(args.xs)
         ys = _read_blocks(args.ys)
         tuples = json.loads(_read_payload(args.coeffs))
+        if not isinstance(tuples, list):
+            raise DomainError("coefficient tuples must be a JSON list")
+        tuples = [_numbers(tup, "each coefficient tuple") for tup in tuples]
         value = blocks.equivalence_constant(xs, ys, tuples, system=system,
                                             guard=cfg.support_guard)
         return EXIT_OK, {"equivalence_constant": value, "tuples": len(tuples)}
@@ -169,8 +201,8 @@ def cmd_seq(args, cfg: Config) -> tuple[int, object]:
         out["frames"] = [f.to_jsonable() for f in op.frames]
         return EXIT_OK, out
     if sub == "select":
-        schedule = (json.loads(args.eps_schedule) if args.eps_schedule
-                    else [2.0 ** (-i) for i in range(1, args.budget + 1)])
+        schedule = (_numbers(json.loads(args.eps_schedule), "eps schedule")
+                    if args.eps_schedule else [2.0 ** (-i) for i in range(1, args.budget + 1)])
         ys, ks, report = blocks.greedy_block_select(
             schedule, args.budget, start=args.start,
             support_budget=args.support_budget, system=system,
@@ -180,8 +212,8 @@ def cmd_seq(args, cfg: Config) -> tuple[int, object]:
         return EXIT_OK, report
     if sub == "stabilize":
         ys = _read_blocks(args.blocks)
-        schedule = (json.loads(args.eps_schedule) if args.eps_schedule
-                    else [1.0, 0.5, 0.25])
+        schedule = (_numbers(json.loads(args.eps_schedule), "eps schedule")
+                    if args.eps_schedule else [1.0, 0.5, 0.25])
         chosen, states = blocks.stabilize_subsequence(
             ys, schedule, system=system, tol=cfg.tolerance,
             guard=cfg.support_guard)
@@ -239,6 +271,8 @@ def cmd_audit(args, cfg: Config) -> tuple[int, object]:
 
 
 def _audit_gnorm(args, cfg: Config) -> tuple[int, object]:
+    if args.cases < 1:
+        raise DomainError("cases must be >= 1")
     lmax = args.lmax
     scalar_ok = double_ok = True
     # fixed-size chunks keep memory flat however large lmax is

@@ -64,11 +64,13 @@ each interval's winning part count as they fill, so one walk,
 ``_witness``, reads the witness from either route's tables.  ``_plan``
 runs the one guard and memory check, ``_check_resources``, before any
 memo read.  Its route rule, ``_routes_flat``, is also what
-``greedy_split`` applies before each interval-table read.  A split reads
-one whole N table per vector, filled once through ``_n_tables``, when
+``greedy_split`` applies before each interval-table read.  A split
+fills nothing before it accepts its input, and every table it reads is
+an N-only ``_n_tables`` fill: one whole table per vector when
 ``_group(L) == L`` (L <= 50) and for every ``stabilize_subsequence``
 member; larger vectors, and members that route flat or are refused,
-split from their own windows.
+split from their own windows, each checked by ``_check_resources``
+first.
 Every weight these kernels divide by is a slice of one array per system,
 ``NormSystem.weight_table``, grown on demand.
 

@@ -120,12 +120,11 @@ class TestGreedySplit:
         y = normalized(FinVector.from_dense(list(1.0 + rng.uniform(-0.1, 0.1, 64))))
         engine.GLOBAL_MEMO.clear()
         calls = []
-        build_tables = engine.build_tables
-        monkeypatch.setattr(engine, "build_tables",
-                            lambda *a, **k: calls.append(a) or build_tables(*a, **k))
+        fill = engine._fill
+        monkeypatch.setattr(engine, "_fill", lambda *a: calls.append(a) or fill(*a))
         prof = greedy_split(y, 0.25)
         assert prof.count == 8
-        # the prefix search this scan replaced built 60 tables here
+        # the prefix search this scan replaced filled 60 tables here
         assert len(calls) < 60
         assert len(engine.GLOBAL_MEMO) == 0
 
@@ -133,7 +132,8 @@ class TestGreedySplit:
     @pytest.mark.parametrize("L", [1, 2, 17, 49, 50, 51])
     def test_whole_table_up_to_support_50(self, monkeypatch, L, system):
         # one fill of y's whole N table while its S planes fit one array,
-        # doubling windows past it; either way the window path's split
+        # doubling windows past it; either way the window path's split,
+        # and never a table with S planes
         rng = np.random.default_rng(L)
         for x in (FinVector.from_dense(list(rng.uniform(0.05, 1.0, L))),
                   FinVector.from_dense(list(1.0 + rng.uniform(-0.1, 0.1, L)))):
@@ -147,15 +147,32 @@ class TestGreedySplit:
                                     lambda *a, **k: builds.append(a) or build_tables(*a, **k))
                 prof = greedy_split(y, eps, system)
                 monkeypatch.undo()
+                assert builds == []
                 if L <= 50:
-                    assert (len(fills), builds) == (1, [])
+                    assert len(fills) == 1
                 else:
-                    assert builds and len(fills) == len(builds)
+                    assert len(fills) > 1
+                # no support size fits the cube now, so every split windows
+                monkeypatch.setattr(engine, "_CUBE_BYTES", 0)
                 window = blocks._greedy_split(y, eps, system, engine.DEFAULT_TOLERANCE,
                                               engine.DEFAULT_SUPPORT_GUARD, None)
+                monkeypatch.undo()
                 assert prof == window
                 assert np.array(prof.piece_norms).tobytes() == \
                     np.array(window.piece_norms).tobytes()
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, 0.05])
+    def test_refused_split_fills_nothing(self, monkeypatch, eps):
+        # eps = 0.05 lies below the sup norm of this unit vector
+        rng = np.random.default_rng(17)
+        y = normalized(FinVector.from_dense(list(rng.uniform(0.05, 1.0, 17))))
+        assert y.linf() > 0.05
+        fills = []
+        fill = engine._fill
+        monkeypatch.setattr(engine, "_fill", lambda *a: fills.append(a) or fill(*a))
+        with pytest.raises(DomainError):
+            greedy_split(y, eps)
+        assert fills == []
 
 
 class TestSplitCountBounds:
@@ -512,8 +529,7 @@ class TestStabilize:
         for st in states:
             for i, prof in st.profiles.items():
                 assert prof == fresh[fam[i], st.eps]
-        if all(y.support_size() in tabled for y in fam):
-            assert builds == []         # no split builds a window of its own
+        assert builds == []         # every split table is an N-only fill
 
     def test_member_batch_split_keeps_outputs(self, monkeypatch):
         fam, schedule, guard, _, _ = STABILIZE_FAMILIES["block-pipeline"]()

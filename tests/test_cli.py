@@ -279,6 +279,56 @@ class TestStdoutPins:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_BLOCK = '[{"coords": [[1, 1.0]]}]'
+
+
+class TestInputErrors:
+    """Input the CLI cannot use exits 2 with nothing on stdout."""
+
+    @pytest.mark.parametrize("argv,key", [
+        (("--tolerance", "nan", "norm", '{"dense":[1,1]}'), "tolerance"),
+        (("seq", "split", "--eps", "nan", '{"dense":[0.1,0.1]}'), "eps"),
+        (("audit", "lemma-duo", "--eps", "0.5", "--l", "1", "--m", "8", "--nlen", "0"),
+         "n_len"),
+        (("audit", "gnorm", "--cases", "0"), "cases"),
+        (("seq", "equiv", "--coeffs", "[1]", _BLOCK, _BLOCK), "coefficient tuple"),
+        (("seq", "stabilize", "--eps-schedule", '["a"]', _BLOCK), "eps schedule"),
+    ], ids=["tolerance-nan", "split-eps-nan", "lemma-duo-nlen-0", "gnorm-cases-0",
+            "equiv-coeffs-not-tuples", "stabilize-schedule-not-numbers"])
+    def test_numeric_argument_outside_domain_exit_2(self, argv, key):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert "input error" in err and key in err
+
+    @pytest.mark.parametrize("content,key", [
+        ([], "JSON object"),
+        ({"name": "h", "min_parts": "2", "add": 1, "scale": 1}, "'min_parts'"),
+        ({"name": "h", "min_parts": 2, "add": -5, "scale": 1}, "domain"),
+        ({"name": "h", "min_parts": 2, "add": 1}, "'scale'"),
+        ({"name": "h", "min_parts": 2, "add": 1, "scale": 1, "mul": 2}, "'mul'"),
+    ], ids=["list", "string-min-parts", "negative-add", "missing-key", "extra-key"])
+    def test_bad_system_file_exit_2(self, tmp_path, content, key):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run_cli("norm", "--system", str(path), '{"dense":[1,1]}')
+        assert (code, out) == (2, "")
+        assert "input error" in err and key in err
+
+    def test_good_system_file(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"name": "h", "min_parts": 2, "add": 1, "scale": 1}))
+        code, out, _ = run_cli("norm", "--system", str(path), '{"dense":[1,1]}')
+        assert code == 0
+        assert json.loads(out)["value"] == 2 / math.log2(3)
+
+    @pytest.mark.parametrize("argv", [("norm", "@{}"), ("--config", "{}", "norm", "[1]")],
+                             ids=["payload", "config"])
+    def test_unreadable_path_exit_2(self, tmp_path, argv):
+        code, out, err = run_cli(*(a.format(tmp_path) for a in argv))
+        assert (code, out) == (2, "")
+        assert "input error" in err and str(tmp_path) in err
+
+
 class TestConfigAndCache:
     def test_config_file(self, tmp_path):
         cfgpath = tmp_path / "cfg.json"

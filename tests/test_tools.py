@@ -19,13 +19,15 @@ class TestBenchPairs:
     each revision resolves to itself, and tree ``<workdir>/<rev>`` runs."""
 
     @staticmethod
-    def _run(monkeypatch, tmp_path, wrong):
+    def _run(monkeypatch, tmp_path, wrong, calls=None):
         bp = _bench_pairs()
         monkeypatch.setattr(bp.subprocess, "run",
                             lambda cmd, **k: SimpleNamespace(stdout=cmd[-1] + "\n"))
         monkeypatch.setattr(bp, "checkout", lambda rev, dest: dest)
 
         def run_once(tree, command, workload, seed):
+            if calls is not None:
+                calls.append((tree.name, workload, seed))
             return {"attempted": 4, "correct": (tree.name, workload, seed) not in wrong,
                     "failed": 0,
                     "metrics": {"cycle_cost_ref": {"unit": "ref", "value": float(seed)}}}
@@ -48,3 +50,14 @@ class TestBenchPairs:
         assert workloads["dp_random"]["failed_operations"] == {"parent": 0, "change": 0}
         assert workloads["dp_random"]["pairs"] == 10
         assert "dp_random (change: 1)" in capsys.readouterr().err
+
+    def test_resume_refused_for_other_revisions(self, monkeypatch, tmp_path, capsys):
+        out = tmp_path / "BENCH.json"
+        out.write_text(json.dumps({"change": "c2", "parent": "p2", "workloads": {}}))
+        before, calls = out.read_bytes(), []
+        code, _ = self._run(monkeypatch, tmp_path, set(), calls)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "change" in err and "parent" in err
+        assert out.read_bytes() == before
+        assert calls == []
