@@ -275,6 +275,8 @@ def tower_product(lam0: float, d: float, *, tail_tol: float = 1e-12,
     """
     if kind not in ("f", "g"):
         raise DomainError(f"unknown tower kind {kind!r}")
+    if not tail_tol >= 0.0:         # no tail meets a negative or NaN one
+        raise DomainError(f"tail tolerance must be >= 0, got {tail_tol}")
     weight = f_log2 if kind == "f" else g_log2
     ratio_add = LOG2_9 if kind == "f" else 1.0
     w0 = weight(lam0)

@@ -34,6 +34,11 @@ from .engine import (
 from .vectors import FinVector, Functional, Interval
 
 
+# Supports up to which ``greedy_split`` fills y's whole N table once
+# rather than reading windows of it.
+_WHOLE_TABLE_MAX = 50
+
+
 class NotEquivalentOnFamilyError(DomainError):
     """A coefficient tuple sends one sequence to zero and the other not."""
 
@@ -141,9 +146,8 @@ def greedy_split(y: FinVector, eps: float, system: NormSystem = F_SYSTEM, *,
 
     Segment norms are read from N-only interval DP tables filled by
     ``engine._n_tables``, whose N[a, b] is bitwise the norm of segment
-    a..b.  Up to support 50, where the engine keeps every right end's S
-    plane in one array (``engine._group``), y's whole table is filled once
-    and serves every segment.  Past it, one table over a window of y
+    a..b.  Up to support 50 (``_WHOLE_TABLE_MAX``), y's whole table is
+    filled once and serves every segment.  Past it, one table over a window of y
     serves successive pieces, and a read past its right end refills it
     from the current piece start, twice as wide when the segment has
     outgrown it; a whole table there costs about L^4 / 12 steps, while the
@@ -158,7 +162,7 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
                   table: Optional[np.ndarray] = None) -> SplitProfile:
     """``greedy_split``, reading ``table``, y's whole N table, when given
     (``stabilize_subsequence``'s members).  Without it, once eps and y are
-    accepted, y's whole table is filled when ``engine._group(L) == L`` and
+    accepted, y's whole table is filled when L <= ``_WHOLE_TABLE_MAX`` and
     the interval route admits L; otherwise segments read doubling windows,
     each checked against the guard before its fill."""
     if not eps > 0.0:
@@ -171,7 +175,7 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
     coords = y.coords
     vabs = tuple(abs(v) for _, v in coords)
     L = len(coords)
-    if table is None and engine._group(L) == L:
+    if table is None and L <= _WHOLE_TABLE_MAX:
         table = next(engine._n_tables([vabs], system, guard), (0, None))[1]
     # window[a - w0, b - w0] = N of a..b; a whole table covers every segment
     w0, width, window = 0, (0 if table is None else L), table
@@ -505,6 +509,8 @@ def greedy_block_select(eps_schedule: Sequence[float], budget: int, *,
         raise DomainError("budget must be >= 1")
     if len(eps_schedule) < budget:
         raise DomainError("eps schedule shorter than budget")
+    if not all(0.0 < float(e) < math.inf for e in eps_schedule):
+        raise DomainError("eps schedule entries must be positive and finite")
     report: dict = {"levels": [],
                     "schedule_flagged_not_summable": _summability_flag(eps_schedule)}
     ks: list[int] = [1]

@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guard", type=int,
                    help=f"support-size guard (default {engine.DEFAULT_SUPPORT_GUARD}), "
                         "applied on both routes before any memo hit; the interval "
-                        "route also refuses supports above 735 (1 GiB of DP "
+                        "route also refuses supports above 912 (1 GiB of DP "
                         "tables) whatever the guard; exit 3 names the limit that "
                         "refused")
     p.add_argument("--parallelism", type=int,

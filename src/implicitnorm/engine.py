@@ -27,15 +27,14 @@ lengths: all starts of one length are filled by one batched max over the
 first part's length (part counts a remainder cannot hold read -inf and
 drop out), and one vectorized scan then picks each interval's norm and
 part count.  N and kind are written and read through strided diagonal
-views.  S keeps the planes of a group of consecutive right ends j in
-one array indexed [j, length, part count], sized for the group's last
-right end, so a batch of starts reads one plain slice.  Up to L = 50,
-where the whole cube of planes takes at most 1 MiB, one group holds
-every right end: the sums of one length are the view
-S[0][:, ell-1:, ell-1, :ell], and each length is one add-max step into
-it and one scan of it in place.  Past it groups of S_GROUP = 4 keep the
-tables near 8 L^3 / 3 bytes, so the 1 GiB cap admits supports up to
-735; a length is then filled and scanned in a buffer and written back.
+views.  S is stored by length, groups of consecutive lengths to one
+array indexed [length, start, part count], so one length's sums are one
+plain slice, filled and scanned in place.  A split's rest ends where
+its interval does, so each group's rests are read through one view of
+it by right end (``_by_right_end``).  Up to L = 50, where 8 L^3 bytes
+fit 1 MiB, one group holds every length; past it groups of S_GROUP = 16
+bring the tables towards 4 L^3 / 3 bytes, so the 1 GiB cap admits
+supports up to 912.
 
 The fill, ``_fill``, runs on a stack of B vectors of one support size:
 every table has a leading batch axis, so each step serves all B rows with
@@ -66,11 +65,10 @@ runs the one guard and memory check, ``_check_resources``, before any
 memo read.  Its route rule, ``_routes_flat``, is also what
 ``greedy_split`` applies before each interval-table read.  A split
 fills nothing before it accepts its input, and every table it reads is
-an N-only ``_n_tables`` fill: one whole table per vector when
-``_group(L) == L`` (L <= 50) and for every ``stabilize_subsequence``
-member; larger vectors, and members that route flat or are refused,
-split from their own windows, each checked by ``_check_resources``
-first.
+an N-only ``_n_tables`` fill: one whole table per vector up to support
+50 and per ``stabilize_subsequence`` member; larger vectors, and members
+that route flat or are refused, split from their own windows, each
+checked by ``_check_resources`` first.
 Every weight these kernels divide by is a slice of one array per system,
 ``NormSystem.weight_table``, grown on demand.
 
@@ -115,14 +113,10 @@ CONSTANT_ROUTE_MIN = 65
 # DP (256 KB): a step takes as many first pieces as fit beside the part
 # counts their remainders can hold, so narrow rows take more per step.
 CONST_BUDGET = 1 << 15
-# Right ends whose S planes share one 3-D array past the cube size below,
-# so that one batched fill step reads a plain slice over up to S_GROUP
-# consecutive starts.  Larger groups batch more starts but pad more
-# planes (each is sized for the group's last right end): at S_GROUP = 4 a
-# fill at L = 128 peaks no higher than with one array per right end.
-S_GROUP = 4
-# Bytes of one vector's S planes that may sit in a single group of every
-# right end (``_group``): 8 L^3 fits up to L = 50.
+# Consecutive lengths per S array past the size below (``_group``): a
+# length takes about ell / S_GROUP add-max steps, one per group of rests.
+S_GROUP = 16
+# Bytes of a vector's S that one array of every length may take: L <= 50
 _CUBE_BYTES = 1 << 20
 # Elements per batch row of the add temporary of one fill step; numpy's
 # iterator buffers come on top, up to this size for each strided operand.
@@ -272,8 +266,11 @@ class IntervalTables:
     indices: tuple[int, ...]
     vabs: np.ndarray
     N: np.ndarray          # N[i, j]
-    S: list[np.ndarray]    # [j // G][j % G, length - 1, n - 1], G = len(S[0]): see sums
+    S: list[np.ndarray]    # [g][length - 1 - g G, i, n - 1], G = len(S[0]): see sums
     kind: np.ndarray       # 0 = sup-norm leaf, else winning part count
+
+    def __post_init__(self):        # the views _splits reads
+        self._ends = [_by_right_end(A) for A in self.S]
 
     @property
     def size(self) -> int:
@@ -285,15 +282,14 @@ class IntervalTables:
     def sums(self, i: int, j: int) -> np.ndarray:
         """Best part-norm sums of positions i..j: entry n - 1 is the best
         over partitions into exactly n runs, for n = 1..j-i+1."""
-        g, p = divmod(j, len(self.S[0]))
-        return self.S[g][p, j - i, :j - i + 1]
+        g, u = divmod(j - i, len(self.S[0]))
+        return self.S[g][u, i, :j - i + 1]
 
     def length_sums(self, ell: int) -> np.ndarray:
         """The sums of every run of ell positions: row i is
         sums(i, i + ell - 1), for i = 0..size-ell."""
-        g, p = divmod(ell - 1, len(self.S[0]))
-        return np.concatenate([self.S[g][p:, ell - 1, :ell]]
-                              + [plane[:, ell - 1, :ell] for plane in self.S[g + 1:]])
+        g, u = divmod(ell - 1, len(self.S[0]))
+        return self.S[g][u, :self.size - ell + 1, :ell]
 
     def layer_sums(self, k: Optional[int] = None) -> np.ndarray:
         """Running max of the whole support's sums: entry k - 1 is the
@@ -307,25 +303,41 @@ class IntervalTables:
         return int(self.kind[i, j])
 
     def _splits(self, i: int, j: int, n: int) -> np.ndarray:
-        """N[i, m] + sums(m + 1, j)[n - 2] for m = i..j-n+1."""
-        g, p = divmod(j, len(self.S[0]))
-        return self.N[i, i:j - n + 2] + self.S[g][p, n - 2:j - i, n - 2][::-1]
+        """N[i, m] + sums(m + 1, j)[n - 2] for m = i..j-n+1: the rests end
+        at j, so each length group's are one slice of its view by right end."""
+        G, r, rest = len(self.S[0]), j - i, None
+        while r >= n - 1:       # the rests of lengths r down to n - 1
+            g = (r - 1) // G
+            end, lo = self._ends[g], max(n - 1, g * G + 1)
+            part = end[j - g * G, end.shape[-1] - r:end.shape[-1] - lo + 1, n - 2]
+            rest, r = part if rest is None else np.concatenate((rest, part)), lo - 1
+        return self.N[i, i:j - n + 2] + rest
+
+
+def _by_right_end(A: np.ndarray) -> np.ndarray:
+    """The view E[..., s, k, n - 1] of the S group A[..., u, i, n - 1] of
+    lengths l0 + 1..top: the sums of the run of length top - k that ends
+    at l0 + s.  Runs that would start before 0 alias other cells and are
+    never read; the view stays in A's buffer, so ndarray() builds it."""
+    G, rows, cols = A.shape[-3:]
+    su, si, sc = A.strides[-3:]
+    return np.ndarray(A.shape[:-3] + (rows + G - 1, G, cols), A.dtype, A,
+                      (G - 1) * (su - si), A.strides[:-3] + (si, si - su, sc))
 
 
 def _group(L: int) -> int:
-    """Right ends per S array at support size L: all of them while the
-    cube of planes, 8 L^3 bytes, fits _CUBE_BYTES, else S_GROUP."""
+    """Lengths per S array: all L while their 8 L^3 bytes fit _CUBE_BYTES."""
     return L if 8 * L ** 3 <= _CUBE_BYTES else S_GROUP
 
 
 def dp_table_bytes(L: int) -> int:
-    """Bytes of the N (float64), kind (int16) and grouped S tables at
-    support size L, G = ``_group(L)``: full group g holds G planes of
-    (G (g+1))^2 cells, a last partial group L % G planes of L^2.  One
-    group of every right end is 8 L^3 + 10 L^2 bytes."""
+    """Bytes of the N (float64), kind (int16) and S tables at support size
+    L: with G = ``_group(L)``, S's full group g (G lengths, rows for the
+    L - g G starts of its shortest, columns for the G (g + 1) part counts
+    of its longest) has G^2 (L - g G)(g + 1) cells, a last one r^2 L."""
     G = _group(L)
     q, r = divmod(L, G)
-    cells = G ** 3 * q * (q + 1) * (2 * q + 1) // 6 + r * L * L
+    cells = G * G * (L * q * (q + 1) // 2 - G * (q - 1) * q * (q + 1) // 3) + r * r * L
     return 8 * cells + 10 * L * L
 
 
@@ -405,52 +417,41 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
     scans stop late (F) fills each length in one pass.  At cap >= L,
     what ``build_tables`` passes, every part count is filled.
 
-    With one S array of every right end (``_group(L) == L``) a length's
-    sums are filled, capped with the -inf test column and scanned in
-    place, in the view S[0][:, ell-1:, ell-1, :ell]; groups of S_GROUP
-    do that in a buffer and write each length back."""
+    Length ell's sums, S[g][:, ell - 1 - g G, :L - ell + 1, :ell] with
+    g = (ell - 1) // G (``_group``), are filled and scanned in place."""
     B, L = pad.shape[0], pad.shape[1] // 2
     V = pad[:, :L]
     cap = _PART_CAP if cap is None else cap
     # wv[n - 1] divides the n-part sums; wv[0] = 1 passes the sup norm
     wv = np.concatenate(([1.0], system.weight_table(L)[2:L + 1]))
-    # G lives in the comprehension: as a local of _fill it measured 40
-    # bytes more at the L = 128 peak (``TestMemoryGuard``)
-    groups = [(j0, min(j0 + G, L) - 1) for G in [_group(L)] for j0 in range(0, L, G)]
-
+    G = _group(L)
     N = np.full((B, L, L), -np.inf)
     kind = np.zeros((B, L, L), dtype=np.int16)
-    S = [np.full((B, j1 - j0 + 1, j1 + 1, j1 + 1), -np.inf) for j0, j1 in groups]
+    S = [np.full((B, min(G, L - l0), L - l0, min(l0 + G, L)), -np.inf)
+         for l0 in range(0, L, G)]
+    ends = [_by_right_end(A) for A in S]
     # Band views: N_band[b, i, k] = N[b, i, i + k] (a row stride of L + 1),
     # so column ell - 1 is the diagonal of the intervals of length ell and
     # its left columns hold the first parts of their splits.
     N_band = N.reshape(B, -1)[:, :L * L - 1].reshape(B, L - 1, L + 1)
     kind_band = kind.reshape(B, -1)[:, :L * L - 1].reshape(B, L - 1, L + 1)
-    # rows[b, i, n - 1] for the current length: S of the interval at start
-    # i with n parts.  One group of every right end holds them as the view
-    # S[0][:, ell - 1:, ell - 1, :ell], so they are filled and scanned in
-    # place; groups of S_GROUP fill a buffer that fits the largest length,
-    # ell about L / 2, and write it back.
-    cube = len(S) == 1
-    buf = None if cube else np.empty(B * ((L + 2) // 2) * ((L + 1) // 2))
     # win[b, i, k] = V[b, i + k]: every run's entries, one view per fill;
     # the zero padding keeps the view in bounds, and no run reads it
     step = pad.strides[1]
     win = as_strided(pad, (B, L, L), (pad.strides[0], step, step), writeable=False)
 
     N.reshape(B, -1)[:, ::L + 1] = V
-    for (j0, j1), plane in zip(groups, S):
-        plane[:, :, 0, 0] = V[:, j0:j1 + 1]
+    S[0][:, 0, :, 0] = V
     sup = V                   # sup[b, i]: largest entry of the interval at i
     part_count = np.arange(1, L + 1, dtype=np.int16)    # of the scan's winning column
     part_count[0] = 0                   # the sup-norm leaf
 
     for ell in range(2, L + 1):
         cnt = L - ell + 1     # starts 0..L-ell, right ends ell-1..L-1
-        rows = (S[0][:, ell - 1:, ell - 1, :ell] if cube
-                else buf[:B * cnt * ell].reshape(B, cnt, ell))
+        g, u = divmod(ell - 1, G)
+        rows = S[g][:, u, :cnt, :ell]       # rows[b, i, n - 1]
         n1 = min(ell, cap)    # the part counts filled
-        _fill_band(N_band, S, groups, ell, 1, n1, rows)
+        _fill_band(N_band, S, ends, ell, 1, n1)
         sup = np.maximum(sup[:, :cnt], V[:, ell - 1:])
         rows[:, :, 0] = sup
         l1 = np.add.reduce(win[:, :cnt, :ell], axis=2)
@@ -470,53 +471,52 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
             if n1 == ell:
                 break
             for ln in range(old + 1, ell):
-                _fill_band(N_band, S, groups, ln, old, min(ln, cap), None)
+                _fill_band(N_band, S, ends, ln, old, min(ln, cap))
             n1 = min(ell, cap)
             rows[:, :, 0] = sup
-            _fill_band(N_band, S, groups, ell, old, n1, rows)
+            _fill_band(N_band, S, ends, ell, old, n1)
         del dropped
         kind_band[:, :cnt, ell - 1] = part_count[arg]
         N_band[:, :cnt, ell - 1] = rows[:, :, 0]
         del arg               # freed before the next add-max, where fills peak
-        if cube:
-            continue
-        done, live = rows[:, :, :n1], (ell - 1) // _group(L)
-        for (j0, j1), plane in zip(groups[live:], S[live:]):
-            a = max(j0, ell - 1)
-            plane[:, a - j0:, ell - 1, :n1] = done[:, a - ell + 1:j1 - ell + 2]
 
     return N, kind, S
 
 
-def _fill_band(N_band: np.ndarray, S: list[np.ndarray], groups: list[tuple[int, int]],
-               ell: int, c0: int, c1: int, rows: Optional[np.ndarray]) -> None:
+def _fill_band(N_band: np.ndarray, S: list[np.ndarray], ends: list[np.ndarray],
+               ell: int, c0: int, c1: int) -> None:
     """Columns c0..c1-1 (part counts c0 + 1..c1, c0 >= 1) of the sums of
-    every interval of length ell, each the max over its first part's
-    length k of N of that part plus the rest's best sum over one part
-    fewer; into ``rows`` (indexed by start, as ``_fill``'s) or, when None,
-    into S itself.  A rest must hold c0 parts, so k runs 1..ell-c0.
-    Steps of `step` right ends and `span` first-part lengths keep the
-    sum under DP_BATCH per row."""
-    m, K = c1 - c0, ell - c0
-    step = max(1, DP_BATCH // (K * m))
-    span = min(K, max(1, DP_BATCH // m))
-    end = c0 - 2 if c0 > 1 else None    # past the shortest rest, length c0
-    amax = np.maximum.reduce
-    # first group holding a right end; N_band is (B, L - 1, L + 1)
-    live = (ell - 1) // _group(N_band.shape[2] - 1)
-    for (j0, j1), plane in zip(groups[live:], S[live:]):
-        for a in range(max(j0, ell - 1), j1 + 1, step):
-            b = min(a + step, j1 + 1)
-            i0, i1 = a - ell + 1, b - ell + 1
-            out = (rows[:, i0:i1, c0:c1] if rows is not None
-                   else plane[:, a - j0:b - j0, ell - 1, c0:c1])
-            # rest[..., k, n - 2]: the rest after a first part of length
-            # k + 1, at length ell - k - 1, read from the right end's plane
-            rest = plane[:, a - j0:b - j0, ell - 2:end:-1, c0 - 1:c1 - 1]
-            amax(N_band[:, i0:i1, :span, None] + rest[:, :, :span], axis=2, out=out)
-            for k in range(span, K, span):
-                np.maximum(out, amax(N_band[:, i0:i1, k:min(k + span, K), None]
-                                     + rest[:, :, k:k + span], axis=2), out=out)
+    every interval of length ell, in S, each the max over its first
+    part's length k = 1..ell-c0 of N of that part plus the rest's best
+    sum over one part fewer.  The rests of one length group are one slice
+    of its view ``ends`` (``_by_right_end``), longest first: the group of
+    length ell - 1 covers the band and writes it, a lower one the columns
+    up to its longest length.  Steps of `step` starts and `span` first
+    parts keep the sum under DP_BATCH per row."""
+    G, cnt, amax = S[0].shape[1], N_band.shape[2] - ell, np.maximum.reduce
+    g, u = divmod(ell - 1, G)
+    r, m = ell - 1, c1 - c0     # the longest rest left; the columns it covers
+    while r >= c0:
+        h = (r - 1) // G
+        end, lo = ends[h], max(c0, h * G + 1)
+        top = end.shape[-1]                 # the group's longest length
+        m, ka, kb = min(m, top - c0 + 1), ell - r, ell + 1 - lo    # k of rests r..lo
+        span = min(kb - ka, max(1, DP_BATCH // m))
+        step = max(1, DP_BATCH // (span * m))
+        # end[:, s0 + i, t0 + k]: the rest after a first part k at start i
+        s0, t0, first = ell - 1 - h * G, top - ell, r == ell - 1
+        for i0 in range(0, cnt, step):
+            i1 = min(i0 + step, cnt)
+            out = S[g][:, u, i0:i1, c0:c0 + m]
+            for k in range(ka, kb, span):
+                k1 = min(k + span, kb)
+                part = N_band[:, i0:i1, k - 1:k1 - 1, None]
+                rest = end[:, s0 + i0:s0 + i1, t0 + k:t0 + k1, c0 - 1:c0 - 1 + m]
+                if first and k == ka:
+                    amax(part + rest, axis=2, out=out)
+                else:
+                    np.maximum(out, amax(part + rest, axis=2), out=out)
+        r = lo - 1
 
 
 def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray

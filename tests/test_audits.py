@@ -251,9 +251,9 @@ class TestRefinementMargin:
     def test_oversized_flat_refused_before_composition_fill(self, monkeypatch):
         monkeypatch.setattr(engine, "_CONST_TABLES", {})
         with pytest.raises(SupportGuardError):
-            refinement_margin(FinVector.from_dense([1.0] * 800), 4.0, 1.0)
+            refinement_margin(FinVector.from_dense([1.0] * 1000), 4.0, 1.0)
         tab = engine._CONST_TABLES.get(F_SYSTEM)
-        assert tab is None or tab.filled < 800
+        assert tab is None or tab.filled < 1000
 
     def test_gamma_domain_gate(self):
         with pytest.raises(DomainError, match="d\\^2"):

@@ -131,8 +131,8 @@ class TestGreedySplit:
     @pytest.mark.parametrize("system", [F_SYSTEM, G_SYSTEM], ids=lambda s: s.name)
     @pytest.mark.parametrize("L", [1, 2, 17, 49, 50, 51])
     def test_whole_table_up_to_support_50(self, monkeypatch, L, system):
-        # one fill of y's whole N table while its S planes fit one array,
-        # doubling windows past it; either way the window path's split,
+        # one fill of y's whole N table up to support 50, doubling
+        # windows past it; either way the window path's split,
         # and never a table with S planes
         rng = np.random.default_rng(L)
         for x in (FinVector.from_dense(list(rng.uniform(0.05, 1.0, L))),
@@ -152,8 +152,8 @@ class TestGreedySplit:
                     assert len(fills) == 1
                 else:
                     assert len(fills) > 1
-                # no support size fits the cube now, so every split windows
-                monkeypatch.setattr(engine, "_CUBE_BYTES", 0)
+                # no support takes a whole table now, so every split windows
+                monkeypatch.setattr(blocks, "_WHOLE_TABLE_MAX", 0)
                 window = blocks._greedy_split(y, eps, system, engine.DEFAULT_TOLERANCE,
                                               engine.DEFAULT_SUPPORT_GUARD, None)
                 monkeypatch.undo()

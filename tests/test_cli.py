@@ -300,6 +300,20 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert "input error" in err and key in err
 
+    @pytest.mark.parametrize("argv,key", [
+        (("seq", "select", "--budget", "1", "--eps-schedule", "[0]"), "eps schedule"),
+        (("seq", "select", "--budget", "1", "--eps-schedule", "[NaN]"), "eps schedule"),
+        (("seq", "select", "--budget", "2", "--eps-schedule", "[0.5, -1]"), "eps schedule"),
+        (("audit", "beta", "--d", "1", "--log2r", "8", "--tail-tol", "nan"), "tail tolerance"),
+        (("audit", "beta", "--d", "1", "--log2r", "8", "--tail-tol=-1"), "tail tolerance"),
+    ], ids=["select-schedule-zero", "select-schedule-nan", "select-schedule-negative",
+            "beta-tail-tol-nan", "beta-tail-tol-negative"])
+    def test_value_refused_where_it_enters_exit_2(self, argv, key):
+        # each of these once ended in a traceback and exit 1
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert "input error" in err and key in err
+
     @pytest.mark.parametrize("content,key", [
         ([], "JSON object"),
         ({"name": "h", "min_parts": "2", "add": 1, "scale": 1}, "'min_parts'"),

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -79,8 +80,8 @@ class TestNormExamples:
                            r"~\d+ MiB of composition tables \(limit 1024 MiB\)$"):
             call(ones(12000), 20000)
         if not reader.startswith("constant"):
-            x = FinVector.from_dense(np.linspace(0.5, 1.0, 736))
-            with pytest.raises(SupportGuardError, match=r"^support size 736 needs "
+            x = FinVector.from_dense(np.linspace(0.5, 1.0, 913))
+            with pytest.raises(SupportGuardError, match=r"^support size 913 needs "
                                r"~\d+ MiB of DP tables \(limit 1024 MiB\)$"):
                 call(x, engine.DEFAULT_SUPPORT_GUARD)
 
@@ -763,6 +764,19 @@ def _assert_matches_loop_reference(x, system):
     return t
 
 
+@functools.lru_cache(maxsize=None)
+def _edge_vectors(L):
+    """Three supports of size L: rounded (ties planted between splits),
+    unrounded and near-flat."""
+    return (_golden_vector(L, 700 + L, True), _golden_vector(L, 700 + L, False),
+            _batch_vector(np.random.default_rng(L), L, "near_flat"))
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_reference(L, system, k):
+    return _loop_reference(_edge_vectors(L)[k], system)
+
+
 def _close_reference(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
@@ -844,17 +858,54 @@ class TestVectorizedKernel:
 
     @pytest.mark.parametrize("system", [F_SYSTEM, G_SYSTEM], ids=["f", "g"])
     @pytest.mark.parametrize("L,cube", [pytest.param(L, None, id=str(L))
-                                        for L in (9, 17, 33, 50, 51, 70)]
-                             + [pytest.param(L, 0, id=f"{L}-groups") for L in (9, 17, 33)])
+                                        for L in (9, 15, 16, 17, 31, 32, 33, 50, 51, 64, 65, 70)]
+                             + [pytest.param(L, 0, id=f"{L}-groups")
+                                for L in (9, 15, 16, 17, 31, 32, 33)])
     def test_matches_loop_reference_across_groups(self, L, cube, system, monkeypatch):
         # supports past several S groups and past the batch size, with
         # rounded coefficients planting exact ties between splits; up to
-        # L = 50 the default keeps every right end in one S array, and
-        # "groups" keeps groups of S_GROUP there too
+        # L = 50 the default keeps every length in one S array, and
+        # "groups" keeps groups of S_GROUP lengths there too, so lengths
+        # 16, 32 and 64 end a group.  build_tables, and full and capped
+        # fills of one row and of three: N and kind bitwise the loop's, and
+        # every sum a fill keeps bitwise its sum
         if cube is not None:
             monkeypatch.setattr(engine, "_CUBE_BYTES", cube)
-        t = _assert_matches_loop_reference(_golden_vector(L, 700 + L, True), system)
-        assert len(t.S) == (1 if cube is None and L <= 50 else -(-L // engine.S_GROUP))
+        xs = _edge_vectors(L)
+        refs = [_edge_reference(L, system, k) for k in range(len(xs))]
+        fills = [(L, [build_tables(xs[0], system)])]
+        for rows in (xs[:1], xs):
+            for cap in (L, None):
+                N, kind, S = engine._fill(engine._padded([x.values for x in rows], L), system, cap)
+                fills.append((cap, [engine.IntervalTables(system, x.indices, None, N[b],
+                                                          [A[b] for A in S], kind[b])
+                                    for b, x in enumerate(rows)]))
+        for cap, tables in fills:
+            for t, (rN, rS, rkind) in zip(tables, refs):
+                assert len(t.S) == (1 if cube is None and L <= 50 else -(-L // engine.S_GROUP))
+                assert t.N.tobytes() == rN.tobytes() and np.array_equal(t.kind, rkind)
+                K = int(np.isfinite(t.sums(0, L - 1)).sum())    # the final cap
+                assert K == L or cap is None
+                for j in range(L):
+                    for i in range(j + 1):
+                        m, got = min(j - i + 1, K), t.sums(i, j)
+                        assert got[:m].tobytes() == rS[i, 1:m + 1, j].tobytes(), (i, j)
+                        assert (got[m:] == -np.inf).all(), (i, j)
+
+    @pytest.mark.parametrize("L", [12, 70])
+    def test_readers_are_slices_of_the_sums(self, L):
+        t = build_tables(_golden_vector(L, 40 + L, True), G_SYSTEM)
+        G = len(t.S[0])
+        for ell in range(1, L + 1):
+            got = t.length_sums(ell)
+            assert got.shape == (L - ell + 1, ell)
+            assert np.shares_memory(got, t.S[(ell - 1) // G])
+        rng = np.random.default_rng(L)
+        pairs = [(0, L - 1)] + [tuple(sorted(rng.integers(0, L, 2))) for _ in range(30)]
+        for i, j in pairs:
+            for n in range(2, j - i + 2):
+                want = [t.N[i, m] + t.sums(m + 1, j)[n - 2] for m in range(i, j - n + 2)]
+                assert t._splits(i, j, n).tobytes() == np.array(want).tobytes(), (i, j, n)
 
     def test_early_exit_is_reproduced(self):
         # Found by search: the right-nested all-singleton sum of this
@@ -952,8 +1003,8 @@ class TestMemoryGuard:
     # with the per-right-end S tables the grouped layout replaced
     PER_RIGHT_END_PEAK = 6266968
 
-    def test_default_cap_admits_735(self):
-        assert dp_table_bytes(735) <= engine.DP_MEMORY_LIMIT_BYTES < dp_table_bytes(736)
+    def test_default_cap_admits_912(self):
+        assert dp_table_bytes(912) <= engine.DP_MEMORY_LIMIT_BYTES < dp_table_bytes(913)
 
     def test_estimate_is_exact_and_refusal_allocates_nothing(self, monkeypatch):
         L = 120
@@ -973,10 +1024,10 @@ class TestMemoryGuard:
         # the N table alone would be 8 * 121^2 bytes, about 117 KB
         assert peak < 64 * 1024
 
-    @pytest.mark.parametrize("L,arrays", [(50, 1), (51, 13)], ids=["cube", "groups"])
+    @pytest.mark.parametrize("L,arrays", [(50, 1), (51, 4)], ids=["cube", "groups"])
     def test_estimate_is_exact_at_the_cube_edge(self, monkeypatch, L, arrays):
-        # one S array of every right end up to L = 50, groups of four past
-        # it, so the estimate falls from 50 to 51
+        # one S array of every length up to L = 50, groups of 16 lengths
+        # past it, so the estimate falls from 50 to 51
         monkeypatch.setattr(engine, "DP_MEMORY_LIMIT_BYTES", dp_table_bytes(L))
         t = build_tables(_golden_vector(L, 5, False))
         assert len(t.S) == arrays
@@ -1006,6 +1057,18 @@ class TestMemoryGuard:
             engine._check_resources(L, 4096, flat=True)
             tab.ensure(L)
             assert tab.T.nbytes <= engine.DP_MEMORY_LIMIT_BYTES
+
+    def test_peak_of_length_groups(self):
+        # tables by length, S_GROUP = 16: about 4.1 MB of tables at L = 128
+        x = _golden_vector(128, 5, False)
+        build_tables(x)
+        tracemalloc.start()
+        try:
+            build_tables(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_500_000
 
     def test_peak_no_higher_than_per_right_end_tables(self):
         x = _golden_vector(128, 5, False)
@@ -1085,9 +1148,9 @@ class _BandLog:
     def __init__(self, monkeypatch):
         self.calls = []
         band = engine._fill_band
-        monkeypatch.setattr(engine, "_fill_band", lambda N_band, S, groups, ell, c0, c1, rows:
+        monkeypatch.setattr(engine, "_fill_band", lambda N_band, S, ends, ell, c0, c1:
                             self.calls.append((ell, c0, c1))
-                            or band(N_band, S, groups, ell, c0, c1, rows))
+                            or band(N_band, S, ends, ell, c0, c1))
 
     def refills(self):
         return [c for c in self.calls if c[1] > 1]
@@ -1119,7 +1182,7 @@ class TestPartCountCap:
         self._one_row_raises(monkeypatch)
 
     def test_one_row_raises_in_one_cube(self, monkeypatch):
-        # the same batch with every right end's S plane in one array
+        # the same batch with every length's S sums in one array
         monkeypatch.setattr(engine, "_CUBE_BYTES", 8 * 128 ** 3)
         assert engine._group(128) == 128
         self._one_row_raises(monkeypatch)
