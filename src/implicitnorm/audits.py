@@ -197,6 +197,8 @@ def audit_power(c: float, nu_grid: Optional[np.ndarray] = None,
 
 def audit_all(c: float, *, xi_grid: Optional[np.ndarray] = None,
               nu_grid: Optional[np.ndarray] = None) -> dict[str, AuditReport]:
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"constant c must be positive and finite, got {c}")
     return {
         "E1": audit_slack(c, xi_grid),
         "E2_printed": audit_product_growth_printed(c, xi_grid),
@@ -275,11 +277,16 @@ def tower_product(lam0: float, d: float, *, tail_tol: float = 1e-12,
     """
     if kind not in ("f", "g"):
         raise DomainError(f"unknown tower kind {kind!r}")
-    if not tail_tol >= 0.0:         # no tail meets a negative or NaN one
-        raise DomainError(f"tail tolerance must be >= 0, got {tail_tol}")
+    if not tail_tol > 0.0:          # every tail bound is positive
+        raise DomainError(f"tail tolerance must be positive, got {tail_tol}")
+    if not math.isfinite(lam0):
+        raise DomainError(f"tower base lam0 = log2(r) must be finite, got {lam0}")
     weight = f_log2 if kind == "f" else g_log2
     ratio_add = LOG2_9 if kind == "f" else 1.0
     w0 = weight(lam0)
+    if not w0 > 1.0:
+        raise DomainError(f"tower product needs weight(r) > 1 at the base "
+                          f"({w0:.6g}); the tower does not grow")
     if not w0 > d * d:
         raise DomainError(
             f"tower product needs weight(r) > d^2 at the base "
@@ -310,9 +317,12 @@ def tower_product(lam0: float, d: float, *, tail_tol: float = 1e-12,
         if lam >= max(4.0, 3.0 * d):
             tail = 3.0 * (2.0 * d + ratio_add) / lam
             if tail <= tail_tol:
-                lams.append(math.inf if math.isinf(lam) else wk * lam)
+                lams.append(wk * lam)
                 break
-        lam = math.inf if math.isinf(lam) else wk * lam
+        lam = wk * lam
+        if math.isinf(lam):     # an infinite level gives a NaN factor
+            raise DomainError(f"tail tolerance {tail_tol:g} is out of reach: the tower "
+                              f"overflows at factor {k + 1} (tail {tail:.3g})")
         lams.append(lam)
     else:
         raise EngineCheckError(f"tower product did not converge within "

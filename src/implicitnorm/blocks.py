@@ -141,8 +141,8 @@ def greedy_split(y: FinVector, eps: float, system: NormSystem = F_SYSTEM, *,
     Each piece grows from the start of what remains one coordinate at a
     time and stops before the first right end whose norm exceeds eps
     (values equal to eps within tolerance are included).  An eps that is
-    not positive, or a single coordinate already above eps, makes the
-    decomposition impossible and is refused before any table is filled.
+    not positive and finite, or a single coordinate already above eps, is
+    refused before any table is filled.
 
     Segment norms are read from N-only interval DP tables filled by
     ``engine._n_tables``, whose N[a, b] is bitwise the norm of segment
@@ -165,8 +165,8 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
     accepted, y's whole table is filled when L <= ``_WHOLE_TABLE_MAX`` and
     the interval route admits L; otherwise segments read doubling windows,
     each checked against the guard before its fill."""
-    if not eps > 0.0:
-        raise DomainError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     if y.is_zero():
         return SplitProfile((), (), eps)
     if y.linf() > eps and not _close(y.linf(), eps, tol):
@@ -289,8 +289,8 @@ def average_split_experiment(eps: float, parts: int, m: int, n_len: int, *,
     least ceil(4 * parts / eps).  The average has constant coefficients,
     so both sides run through the composition fast path.
     """
-    if not eps > 0.0 or min(parts, m, n_len) < 1:
-        raise DomainError("eps must be positive and parts, m and n_len >= 1")
+    if not 0.0 < eps < math.inf or min(parts, m, n_len) < 1:
+        raise DomainError("eps must be positive and finite, and parts, m and n_len >= 1")
     certificate = system.weight_fn(m * n_len) / system.weight_fn(n_len)
     if certificate > 1.0 + eps / 2.0 + tol:
         raise DomainError(
@@ -617,6 +617,8 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
     thins out.  Later pools are subsets of the first, whose members' whole
     N tables are filled once (``engine._n_tables``) for every split to read;
     members that route flat or are refused split from their own windows."""
+    if not all(0.0 < float(e) < math.inf for e in eps_schedule):
+        raise DomainError("eps schedule entries must be positive and finite")
     members = list(range(len(blocks)))
     states: list[StabilizationState] = []
     chosen: list[int] = []

@@ -184,6 +184,8 @@ def cmd_seq(args, cfg: Config) -> tuple[int, object]:
         return EXIT_OK, {"equivalence_constant": value, "tuples": len(tuples)}
     if sub == "project":
         ys = _read_blocks(args.blocks)
+        if not ys:          # the samples are drawn up to the last block
+            raise DomainError("blocks must hold at least one block")
         op = blocks.build_projection(ys, system=system, tol=cfg.tolerance,
                                      guard=cfg.support_guard)
         rng = np.random.default_rng(args.seed)

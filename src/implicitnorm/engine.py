@@ -31,10 +31,11 @@ views.  S is stored by length, groups of consecutive lengths to one
 array indexed [length, start, part count], so one length's sums are one
 plain slice, filled and scanned in place.  A split's rest ends where
 its interval does, so each group's rests are read through one view of
-it by right end (``_by_right_end``).  Up to L = 50, where 8 L^3 bytes
-fit 1 MiB, one group holds every length; past it groups of S_GROUP = 16
-bring the tables towards 4 L^3 / 3 bytes, so the 1 GiB cap admits
-supports up to 912.
+it by right end (``_by_right_end``): a fill builds them once, and
+``IntervalTables`` when the witness first reads them.  Up to L = 50,
+where 8 L^3 bytes fit 1 MiB, one group holds every length; past it
+groups of S_GROUP = 16 bring the tables towards 4 L^3 / 3 bytes, so the
+1 GiB cap admits supports up to 912.
 
 The fill, ``_fill``, runs on a stack of B vectors of one support size:
 every table has a leading batch axis, so each step serves all B rows with
@@ -92,10 +93,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .vectors import FinVector, Functional, WitnessTree
 
@@ -159,7 +160,6 @@ class NormSystem:
     name: str
     min_parts: int
     weight_fn: Callable[[int], float]
-    _weights: dict = field(default_factory=dict, repr=False, compare=False)
     _table: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False,
                                compare=False)
 
@@ -173,11 +173,7 @@ class NormSystem:
             raise DomainError("weight function must be strictly increasing")
 
     def weight(self, n: int) -> float:
-        w = self._weights.get(n)
-        if w is None:
-            w = float(self.weight_fn(n))
-            self._weights[n] = w
-        return w
+        return float(self.weight_fn(n))
 
     def weight_table(self, hi: int) -> np.ndarray:
         """The system's one weight array, at least hi + 1 long: entry n is
@@ -260,7 +256,9 @@ GLOBAL_MEMO = MemoTable()
 
 @dataclass
 class IntervalTables:
-    """DP tables for one vector under one system; positions index the support."""
+    """DP tables for one vector under one system; positions index the
+    support.  The views of S by right end are built when the witness
+    first reads them (``_ends``)."""
 
     system: NormSystem
     indices: tuple[int, ...]
@@ -269,8 +267,9 @@ class IntervalTables:
     S: list[np.ndarray]    # [g][length - 1 - g G, i, n - 1], G = len(S[0]): see sums
     kind: np.ndarray       # 0 = sup-norm leaf, else winning part count
 
-    def __post_init__(self):        # the views _splits reads
-        self._ends = [_by_right_end(A) for A in self.S]
+    @cached_property
+    def _ends(self) -> list[np.ndarray]:    # the views _splits reads
+        return [_by_right_end(A) for A in self.S]
 
     @property
     def size(self) -> int:
@@ -282,8 +281,7 @@ class IntervalTables:
     def sums(self, i: int, j: int) -> np.ndarray:
         """Best part-norm sums of positions i..j: entry n - 1 is the best
         over partitions into exactly n runs, for n = 1..j-i+1."""
-        g, u = divmod(j - i, len(self.S[0]))
-        return self.S[g][u, i, :j - i + 1]
+        return self.length_sums(j - i + 1)[i]
 
     def length_sums(self, ell: int) -> np.ndarray:
         """The sums of every run of ell positions: row i is
@@ -435,10 +433,11 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
     # its left columns hold the first parts of their splits.
     N_band = N.reshape(B, -1)[:, :L * L - 1].reshape(B, L - 1, L + 1)
     kind_band = kind.reshape(B, -1)[:, :L * L - 1].reshape(B, L - 1, L + 1)
-    # win[b, i, k] = V[b, i + k]: every run's entries, one view per fill;
-    # the zero padding keeps the view in bounds, and no run reads it
+    # win[b, i, k] = V[b, i + k]: every run's entries, one view per fill,
+    # only read; the zero padding keeps the view in pad's buffer, and no
+    # run reads the padding
     step = pad.strides[1]
-    win = as_strided(pad, (B, L, L), (pad.strides[0], step, step), writeable=False)
+    win = np.ndarray((B, L, L), pad.dtype, pad, 0, (pad.strides[0], step, step))
 
     N.reshape(B, -1)[:, ::L + 1] = V
     S[0][:, 0, :, 0] = V

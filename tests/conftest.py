@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from implicitnorm import BlockSequence, FinVector, norm_value
+from implicitnorm import BlockSequence, FinVector, engine, norm_value
 
 
 def random_vector(rng, max_support=8, span=None, scale=2.0, positive=False):
@@ -14,6 +16,13 @@ def random_vector(rng, max_support=8, span=None, scale=2.0, positive=False):
     if positive:
         vals = np.abs(vals)
     return FinVector((int(i), float(v)) for i, v in zip(idxs, vals))
+
+
+def first_over_cap():
+    """The smallest support whose interval DP tables (``dp_table_bytes``)
+    the memory cap refuses."""
+    return next(L for L in itertools.count(1)
+                if engine.dp_table_bytes(L) > engine.DP_MEMORY_LIMIT_BYTES)
 
 
 def normalized(x, system=None):

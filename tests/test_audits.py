@@ -9,6 +9,7 @@ from implicitnorm import (DomainError, F_SYSTEM, FinVector, SupportGuardError,
                           audits, beta, beta_tilde, engine,
                           f_log2, find_min_constant, g_log2, gamma_factor,
                           refinement_margin, tail_layer_norm, tower_product)
+from conftest import first_over_cap
 
 
 class TestLogDomainWeights:
@@ -250,10 +251,11 @@ class TestRefinementMargin:
 
     def test_oversized_flat_refused_before_composition_fill(self, monkeypatch):
         monkeypatch.setattr(engine, "_CONST_TABLES", {})
+        L = first_over_cap()
         with pytest.raises(SupportGuardError):
-            refinement_margin(FinVector.from_dense([1.0] * 1000), 4.0, 1.0)
+            refinement_margin(FinVector.from_dense([1.0] * L), 4.0, 1.0)
         tab = engine._CONST_TABLES.get(F_SYSTEM)
-        assert tab is None or tab.filled < 1000
+        assert tab is None or tab.filled < L
 
     def test_gamma_domain_gate(self):
         with pytest.raises(DomainError, match="d\\^2"):

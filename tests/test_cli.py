@@ -306,8 +306,28 @@ class TestInputErrors:
         (("seq", "select", "--budget", "2", "--eps-schedule", "[0.5, -1]"), "eps schedule"),
         (("audit", "beta", "--d", "1", "--log2r", "8", "--tail-tol", "nan"), "tail tolerance"),
         (("audit", "beta", "--d", "1", "--log2r", "8", "--tail-tol=-1"), "tail tolerance"),
+        (("seq", "project", "[]"), "blocks"),
+        (("seq", "split", "--eps", "inf", '{"dense":[0.1,0.1]}'), "eps"),
+        (("audit", "lemma-duo", "--eps", "inf", "--l", "2", "--m", "8", "--nlen", "127"),
+         "eps"),
+        (("seq", "stabilize", "--eps-schedule", "[1e999]", _BLOCK), "eps schedule"),
+        (("seq", "stabilize", "--eps-schedule", "[0]", _BLOCK), "eps schedule"),
+        (("audit", "ineq", "--c", "0"), "constant c"),
+        (("audit", "ineq", "--c", "nan"), "constant c"),
+        (("audit", "ineq", "--c", "inf"), "constant c"),
+        (("audit", "beta", "--d", "1", "--log2r", "inf"), "tower base"),
+        (("audit", "beta", "--d", "0", "--log2r", "0"), "weight(r) > 1"),
+        (("audit", "beta", "--d", "0", "--log2r", "-5"), "weight(r) > 1"),
+        (("audit", "beta", "--tilde", "--d", "0", "--log2r", "0.5"), "weight(r) > 1"),
+        (("audit", "beta", "--d", "1", "--log2r", "20", "--tail-tol", "0"), "tail tolerance"),
+        (("audit", "beta", "--d", "1", "--log2r", "20", "--tail-tol", "1e-300"),
+         "tail tolerance"),
     ], ids=["select-schedule-zero", "select-schedule-nan", "select-schedule-negative",
-            "beta-tail-tol-nan", "beta-tail-tol-negative"])
+            "beta-tail-tol-nan", "beta-tail-tol-negative", "project-no-blocks",
+            "split-eps-inf", "lemma-duo-eps-inf", "stabilize-schedule-inf",
+            "stabilize-schedule-zero", "ineq-c-zero", "ineq-c-nan", "ineq-c-inf",
+            "beta-base-inf", "beta-base-weight-1", "beta-base-below-1",
+            "beta-tilde-base-below-1", "beta-tail-tol-zero", "beta-tail-tol-overflow"])
     def test_value_refused_where_it_enters_exit_2(self, argv, key):
         # each of these once ended in a traceback and exit 1
         code, out, err = run_cli(*argv)

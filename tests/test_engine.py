@@ -17,7 +17,7 @@ from implicitnorm import (DomainError, EngineCheckError, F_SYSTEM, G_SYSTEM,
                           norm_values, norming_functional, refinement_margin,
                           tail_layer_norm)
 from implicitnorm.engine import dp_table_bytes
-from conftest import random_vector
+from conftest import first_over_cap, random_vector
 
 F2 = math.log2(3.0)     # weight of a 2-part split
 ones = lambda n: FinVector.from_dense([1.0] * n)
@@ -80,8 +80,9 @@ class TestNormExamples:
                            r"~\d+ MiB of composition tables \(limit 1024 MiB\)$"):
             call(ones(12000), 20000)
         if not reader.startswith("constant"):
-            x = FinVector.from_dense(np.linspace(0.5, 1.0, 913))
-            with pytest.raises(SupportGuardError, match=r"^support size 913 needs "
+            L = first_over_cap()
+            x = FinVector.from_dense(np.linspace(0.5, 1.0, L))
+            with pytest.raises(SupportGuardError, match=rf"^support size {L} needs "
                                r"~\d+ MiB of DP tables \(limit 1024 MiB\)$"):
                 call(x, engine.DEFAULT_SUPPORT_GUARD)
 
@@ -906,6 +907,34 @@ class TestVectorizedKernel:
             for n in range(2, j - i + 2):
                 want = [t.N[i, m] + t.sums(m + 1, j)[n - 2] for m in range(i, j - n + 2)]
                 assert t._splits(i, j, n).tobytes() == np.array(want).tobytes(), (i, j, n)
+
+    @pytest.mark.parametrize("L", [12, 70])
+    def test_right_end_views_built_when_the_witness_reads(self, L, monkeypatch):
+        # the readers of S by length build no view by right end; the first
+        # witness builds one per S group, and a second one builds none
+        built, views = [], []
+        build, by_right_end = engine.build_tables, engine._by_right_end
+
+        def recording(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(engine, "build_tables", recording)
+        monkeypatch.setattr("implicitnorm.audits.build_tables", recording)
+        x = FinVector.from_dense(np.linspace(0.5, 1.0, L))
+        best_sum(x, 3)
+        layer_norm(x, 4)
+        tail_layer_norm(x, 2.5)
+        refinement_margin(x, 2.0, 1.1)
+        t = build_tables(x)
+        t.sums(0, L - 1)
+        for ell in range(1, L + 1):
+            t.length_sums(ell)
+        assert len(built) == 4 and all("_ends" not in vars(b) for b in built + [t])
+        assert t.kind[0, L - 1] > 0             # the witness reads splits
+        monkeypatch.setattr(engine, "_by_right_end", lambda A: views.append(A) or by_right_end(A))
+        first = t.witness()
+        assert len(views) == len(vars(t)["_ends"]) == len(t.S)
+        assert t.witness() == first and len(views) == len(t.S)
 
     def test_early_exit_is_reproduced(self):
         # Found by search: the right-nested all-singleton sum of this

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,7 +20,7 @@ class TestBenchPairs:
     each revision resolves to itself, and tree ``<workdir>/<rev>`` runs."""
 
     @staticmethod
-    def _run(monkeypatch, tmp_path, wrong, calls=None):
+    def _run(monkeypatch, tmp_path, wrong, calls=None, failing=None):
         bp = _bench_pairs()
         monkeypatch.setattr(bp.subprocess, "run",
                             lambda cmd, **k: SimpleNamespace(stdout=cmd[-1] + "\n"))
@@ -28,6 +29,10 @@ class TestBenchPairs:
         def run_once(tree, command, workload, seed):
             if calls is not None:
                 calls.append((tree.name, workload, seed))
+            if (tree.name, workload, seed) == failing:
+                raise subprocess.CalledProcessError(
+                    3, command, "", "".join(f"line {k}\n" for k in range(40))
+                    + "ValueError: boom\n")
             return {"attempted": 4, "correct": (tree.name, workload, seed) not in wrong,
                     "failed": 0,
                     "metrics": {"cycle_cost_ref": {"unit": "ref", "value": float(seed)}}}
@@ -61,3 +66,20 @@ class TestBenchPairs:
         assert "change" in err and "parent" in err
         assert out.read_bytes() == before
         assert calls == []
+
+    def test_failed_run_reported_and_resumed(self, monkeypatch, tmp_path, capsys):
+        # the change side fails at seed 3 of the first workload, where the
+        # parent runs first: the runs before it stay, and a resume runs
+        # only the rest
+        code, workloads = self._run(monkeypatch, tmp_path, set(), failing=("c", "dp_random", 3))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "change run of dp_random at seed 3 exited 3" in err
+        assert "ValueError: boom" in err and "line 21" in err and "line 20" not in err
+        runs = workloads["dp_random"]["runs"]
+        assert sorted(runs["parent"]) == ["1", "2", "3"] and sorted(runs["change"]) == ["1", "2"]
+        calls = []
+        code, workloads = self._run(monkeypatch, tmp_path, set(), calls)
+        assert code == 0
+        assert calls[0] == ("c", "dp_random", 3) and ("p", "dp_random", 3) not in calls
+        assert workloads["dp_random"]["pairs"] == 10

@@ -15,9 +15,11 @@ over the parent's minus one, and the number of pairs the change won
 side).  Each workload also counts each side's failed operations and its
 runs whose outputs were wrong (``"correct": false``); the script exits
 1 after writing the file when either side has such a run, since a
-speed-up from wrong outputs counts for nothing.  An interrupted run
-resumes from the runs already in the output file, which must name the
-same revisions, command and machine.
+speed-up from wrong outputs counts for nothing.  A run that exits
+nonzero stops the script with exit 1, after its side, workload, seed,
+exit code and last stderr lines go to stderr.  An interrupted or
+stopped run resumes from the runs already in the output file, which
+must name the same revisions, command and machine.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SIDES = ("parent", "change")
+STDERR_LINES = 20       # of a failed run, written to stderr
 
 
 def checkout(rev: str, dest: Path) -> Path:
@@ -111,8 +114,16 @@ def main() -> int:
             order = SIDES if seed % 2 else SIDES[::-1]
             for side in order:
                 if str(seed) not in entry["runs"][side]:
-                    entry["runs"][side][str(seed)] = run_once(
-                        trees[side], command, workload, seed)
+                    try:
+                        run = run_once(trees[side], command, workload, seed)
+                    except subprocess.CalledProcessError as exc:
+                        tail = exc.stderr.splitlines()[-STDERR_LINES:]
+                        sys.stderr.write(
+                            f"{side} run of {workload} at seed {seed} exited "
+                            f"{exc.returncode}; last lines of its stderr:\n"
+                            + "".join(f"  {line}\n" for line in tail))
+                        return 1
+                    entry["runs"][side][str(seed)] = run
                     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
             print(workload, seed, flush=True)
         runs = entry["runs"]
