@@ -325,8 +325,10 @@ def tower_product(lam0: float, d: float, *, tail_tol: float = 1e-12,
                               f"overflows at factor {k + 1} (tail {tail:.3g})")
         lams.append(lam)
     else:
-        raise EngineCheckError(f"tower product did not converge within "
-                               f"64 factors (tail {tail:.3g})")
+        # the levels grow by factors near weight(r) only, so a base weight
+        # close to 1 leaves the tail bound out of reach of the budget
+        raise DomainError(f"tower base weight(r) = {w0:.6g} is too close to 1: the "
+                          f"tail bound is not met within 64 factors (tail {tail:.3g})")
 
     return TowerProductResult(math.exp(log_sum), log_sum / math.log(2.0),
                               len(factors), tail, tuple(factors[:6]),

@@ -617,6 +617,8 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
     thins out.  Later pools are subsets of the first, whose members' whole
     N tables are filled once (``engine._n_tables``) for every split to read;
     members that route flat or are refused split from their own windows."""
+    if len(eps_schedule) == 0:
+        raise DomainError("eps schedule must hold at least one entry")
     if not all(0.0 < float(e) < math.inf for e in eps_schedule):
         raise DomainError("eps schedule entries must be positive and finite")
     members = list(range(len(blocks)))

@@ -48,11 +48,16 @@ split where ``_check_resources`` says so to keep every part's tables
 under the memory limit; ``norm_values`` (after one memo read per
 distinct key) and ``stabilize_subsequence`` fill through it.  Small
 fills are almost all fixed cost, which a batch pays once.  These
-readers take only N, so their fills stop each length at the part
-counts a scan can still reach: the scan's own early stop says when a
-part-count cap is exact, and the cap doubles where it is not.
-``build_tables`` fills every part count, since its readers take S; the
-tables are allocated in full either way.
+readers take only N, so their fills keep only the part counts that can
+win.  The grouping bound (``NormSystem._fill_width``) proves, once per
+system, that no G interval of support up to 153 is won by more than 8
+parts, so those fills hold 8 columns of S (one array up to L = 128,
+where its 64 L^2 bytes fit 1 MiB) and test nothing past them.  Elsewhere
+each length stops at a part-count cap that the scan's own early stop
+says is exact, and the cap doubles where it is not.  ``build_tables``
+fills every part count, since its readers take S, and F gets no bound,
+so its fills keep width L on both paths; ``dp_table_bytes`` and the
+guard count full-width tables for every fill.
 ``_plan`` is the one route decision of every reader: bitwise-constant
 vectors take a composition DP over lengths instead, which reaches the
 support guard (4096).  It fills each length only with the part counts
@@ -117,7 +122,8 @@ CONST_BUDGET = 1 << 15
 # Consecutive lengths per S array past the size below (``_group``): a
 # length takes about ell / S_GROUP add-max steps, one per group of rests.
 S_GROUP = 16
-# Bytes of a vector's S that one array of every length may take: L <= 50
+# Bytes of a vector's S that one array of every length may take: L <= 50,
+# or L <= 128 for a fill that keeps 8 part counts
 _CUBE_BYTES = 1 << 20
 # Elements per batch row of the add temporary of one fill step; numpy's
 # iterator buffers come on top, up to this size for each strided operand.
@@ -162,6 +168,8 @@ class NormSystem:
     weight_fn: Callable[[int], float]
     _table: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False,
                                compare=False)
+    _widths: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp),
+                                repr=False, compare=False)
 
     def __post_init__(self):
         if self.min_parts < 2:
@@ -186,6 +194,38 @@ class NormSystem:
                                     for n in range(len(w), max(hi + 1, 2 * len(w)))]))
             object.__setattr__(self, "_table", w)
         return w
+
+    def _fill_width(self, L: int) -> int:
+        """The part counts an N-only interval fill of support L keeps
+        (``_fill``): K while the grouping bound rules out every part count
+        K + 1..L, else L.  Derived from the weight array, grown with it.
+
+        Group the parts of a best n-part partition, n >= n0^2 (n0 =
+        min_parts), into n0 runs of n0..ceil(n / n0) consecutive parts.  A
+        run of c parts sums to at most w(c) times its hull's norm, and the
+        hulls are an n0-part partition, so S[n] <= max_c w(c) S[n0], while
+        the scan's incumbent is at least S[n0] / w(n0).  So n cannot win
+        where max_c w(c) w(n0) < w(n); the max keeps this sound for weights
+        that are not monotone.  Where a hull's scan stopped at n' <= c, its
+        c-part sums are bounded by its l1 norm instead, below w(n') times
+        its norm, which holds only while every weight exceeds 1 (as in
+        ``_ConstTables._band``), so past the first weight that does not,
+        nothing is ruled out.  The margin 1e-9 absorbs rounding: the ratio
+        reaches 1 + 4e-16 where the bound is tight.  Under G this rules out
+        n = 9..153, so fills up to support 153 keep 8 part counts.  K is
+        one below the first part count ruled out; past the end of that run
+        a fill keeps L."""
+        widths = self._widths
+        if len(widths) <= L:
+            n0, hi = self.min_parts, max(L + 1, 2 * len(widths), self.min_parts ** 2)
+            w, n = self.weight_table(hi)[:hi], np.arange(hi)
+            top = np.maximum.accumulate(w[n0:])[np.maximum(-(-n // n0), n0) - n0]
+            ruled = ((n >= n0 * n0) & (np.minimum.accumulate(w) > 1.0)
+                     & (top * w[n0] < (1 - 1e-9) * w))
+            widths, first = n.copy(), int(np.argmax(ruled))
+            widths[first:][np.logical_and.accumulate(ruled[first:])] = first - 1
+            object.__setattr__(self, "_widths", widths)
+        return int(widths[L])
 
 
 def _f_weight(n: int) -> float:
@@ -323,9 +363,10 @@ def _by_right_end(A: np.ndarray) -> np.ndarray:
                       (G - 1) * (su - si), A.strides[:-3] + (si, si - su, sc))
 
 
-def _group(L: int) -> int:
-    """Lengths per S array: all L while their 8 L^3 bytes fit _CUBE_BYTES."""
-    return L if 8 * L ** 3 <= _CUBE_BYTES else S_GROUP
+def _group(L: int, width: Optional[int] = None) -> int:
+    """Lengths per S array: all L while their 8 L^2 width bytes fit
+    _CUBE_BYTES, width being the part counts kept (L when None)."""
+    return L if 8 * L * L * (L if width is None else width) <= _CUBE_BYTES else S_GROUP
 
 
 def dp_table_bytes(L: int) -> int:
@@ -403,29 +444,37 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
     call.
 
     Each length fills the part counts n = 1..min(length, cap) of S
-    (``_fill_band``), the cap starting at ``cap``, or ``_PART_CAP`` when
-    None.  The cap is exact when every interval's scan has stopped by
-    part count cap + 1, which the scan's own ``dropped`` says; where some
-    scan has not, the cap doubles, the lengths filled short of it get
-    their missing part counts in length order, and the length is scanned
+    (``_fill_band``), the cap starting at ``cap``, or when None (the
+    N-only readers) at ``_PART_CAP`` and never past the system's width
+    K = ``NormSystem._fill_width(L)``: the grouping bound proves that no
+    part count past K can win, so S keeps K columns and a scan at cap K
+    needs no test of a part count past it.  Under G, K = 8 for supports
+    9..153; F, and G past 153, keep K = L.  The cap is exact when every
+    interval's scan has stopped by part count cap + 1, which the scan's
+    own ``dropped`` says from a last column of -inf; where some scan has
+    not, the cap doubles, the lengths filled short of it get their
+    missing part counts in length order, and the length is scanned
     again.  So N and kind are those of a fill of every part count, and
     each length ell ends with the first min(ell, final cap) part counts
     of S, -inf past them.  At length cap a scan that has not stopped by
     cap / 2 + 1 raises the cap before the next length: a system whose
-    scans stop late (F) fills each length in one pass.  At cap >= L,
-    what ``build_tables`` passes, every part count is filled.
+    scans stop late (F) fills each length in one pass.  A given ``cap``,
+    what ``build_tables`` passes (L), keeps K = L, and at cap >= L every
+    part count is filled.
 
-    Length ell's sums, S[g][:, ell - 1 - g G, :L - ell + 1, :ell] with
-    g = (ell - 1) // G (``_group``), are filled and scanned in place."""
+    Length ell's sums, S[g][:, ell - 1 - g G, :L - ell + 1, :min(ell, K)]
+    with g = (ell - 1) // G (``_group`` of L and K), are filled and
+    scanned in place."""
     B, L = pad.shape[0], pad.shape[1] // 2
     V = pad[:, :L]
-    cap = _PART_CAP if cap is None else cap
+    K = L if cap is not None else system._fill_width(L)
+    cap = min(_PART_CAP if cap is None else cap, K)
     # wv[n - 1] divides the n-part sums; wv[0] = 1 passes the sup norm
     wv = np.concatenate(([1.0], system.weight_table(L)[2:L + 1]))
-    G = _group(L)
+    G = _group(L, K)
     N = np.full((B, L, L), -np.inf)
     kind = np.zeros((B, L, L), dtype=np.int16)
-    S = [np.full((B, min(G, L - l0), L - l0, min(l0 + G, L)), -np.inf)
+    S = [np.full((B, min(G, L - l0), L - l0, min(l0 + G, L, K)), -np.inf)
          for l0 in range(0, L, G)]
     ends = [_by_right_end(A) for A in S]
     # Band views: N_band[b, i, k] = N[b, i, i + k] (a row stride of L + 1),
@@ -456,17 +505,17 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
         l1 = np.add.reduce(win[:, :cnt, :ell], axis=2)
         while True:
             scan = rows
-            if n1 < ell:      # a last column of -inf tests n1 + 1 parts
+            if n1 < rows.shape[2]:      # a last column of -inf tests n1 + 1 parts
                 scan = rows[:, :, :n1 + 1]
                 scan[:, :, n1] = -np.inf
             arg, dropped = _scan_length(scan, l1, wv[:scan.shape[2]])
             # a capped scan that has not stopped by n1 + 1 parts raises the
             # cap; at length cap, one that has not stopped by cap / 2 + 1
             # raises it before the lengths it would split
-            if (ell < cap or cap >= L
+            if (ell < cap or cap >= K
                     or dropped[:, :, (n1 if n1 < ell else cap // 2) - 1].all()):
                 break
-            old, cap = cap, 2 * cap
+            old, cap = cap, min(2 * cap, K)
             if n1 == ell:
                 break
             for ln in range(old + 1, ell):
@@ -490,15 +539,16 @@ def _fill_band(N_band: np.ndarray, S: list[np.ndarray], ends: list[np.ndarray],
     sum over one part fewer.  The rests of one length group are one slice
     of its view ``ends`` (``_by_right_end``), longest first: the group of
     length ell - 1 covers the band and writes it, a lower one the columns
-    up to its longest length.  Steps of `step` starts and `span` first
-    parts keep the sum under DP_BATCH per row."""
+    up to its longest length, which its length axis says (a narrow fill
+    keeps fewer columns).  Steps of `step` starts and `span` first parts
+    keep the sum under DP_BATCH per row."""
     G, cnt, amax = S[0].shape[1], N_band.shape[2] - ell, np.maximum.reduce
     g, u = divmod(ell - 1, G)
     r, m = ell - 1, c1 - c0     # the longest rest left; the columns it covers
     while r >= c0:
         h = (r - 1) // G
         end, lo = ends[h], max(c0, h * G + 1)
-        top = end.shape[-1]                 # the group's longest length
+        top = h * G + end.shape[-2]         # the group's longest length
         m, ka, kb = min(m, top - c0 + 1), ell - r, ell + 1 - lo    # k of rests r..lo
         span = min(kb - ka, max(1, DP_BATCH // m))
         step = max(1, DP_BATCH // (span * m))

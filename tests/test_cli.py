@@ -322,12 +322,15 @@ class TestInputErrors:
         (("audit", "beta", "--d", "1", "--log2r", "20", "--tail-tol", "0"), "tail tolerance"),
         (("audit", "beta", "--d", "1", "--log2r", "20", "--tail-tol", "1e-300"),
          "tail tolerance"),
+        (("seq", "stabilize", "--eps-schedule", "[]", _BLOCK), "eps schedule"),
+        (("audit", "beta", "--d", "0", "--log2r", "0.01"), "too close to 1"),
     ], ids=["select-schedule-zero", "select-schedule-nan", "select-schedule-negative",
             "beta-tail-tol-nan", "beta-tail-tol-negative", "project-no-blocks",
             "split-eps-inf", "lemma-duo-eps-inf", "stabilize-schedule-inf",
             "stabilize-schedule-zero", "ineq-c-zero", "ineq-c-nan", "ineq-c-inf",
             "beta-base-inf", "beta-base-weight-1", "beta-base-below-1",
-            "beta-tilde-base-below-1", "beta-tail-tol-zero", "beta-tail-tol-overflow"])
+            "beta-tilde-base-below-1", "beta-tail-tol-zero", "beta-tail-tol-overflow",
+            "stabilize-schedule-empty", "beta-base-weight-near-1"])
     def test_value_refused_where_it_enters_exit_2(self, argv, key):
         # each of these once ended in a traceback and exit 1
         code, out, err = run_cli(*argv)

@@ -308,6 +308,7 @@ class TestConstantFastPath:
 H_SYSTEM = log2_affine_system("h", 2, 1.5, 0.75)
 # a weight below 1 at n = 4, and so not increasing
 ODD_SYSTEM = engine.NormSystem("odd", 2, lambda n: {2: 1.5, 3: 1.6, 4: 0.95}.get(n, 2.0 + n))
+H_SYSTEM = log2_affine_system("h", 2, 1.5, 0.7)
 _CONST_REFERENCE: dict = {}
 
 
@@ -867,7 +868,8 @@ class TestVectorizedKernel:
         # rounded coefficients planting exact ties between splits; up to
         # L = 50 the default keeps every length in one S array, and
         # "groups" keeps groups of S_GROUP lengths there too, so lengths
-        # 16, 32 and 64 end a group.  build_tables, and full and capped
+        # 16, 32 and 64 end a group.  A capped G fill past support 8 keeps
+        # 8 part counts (the grouping bound), so one array up to L = 128.  build_tables, and full and capped
         # fills of one row and of three: N and kind bitwise the loop's, and
         # every sum a fill keeps bitwise its sum
         if cube is not None:
@@ -882,8 +884,10 @@ class TestVectorizedKernel:
                                                           [A[b] for A in S], kind[b])
                                     for b, x in enumerate(rows)]))
         for cap, tables in fills:
+            narrow = cap is None and system is G_SYSTEM and L > 8
             for t, (rN, rS, rkind) in zip(tables, refs):
-                assert len(t.S) == (1 if cube is None and L <= 50 else -(-L // engine.S_GROUP))
+                assert len(t.S) == (1 if cube is None and (L <= 50 or narrow)
+                                    else -(-L // engine.S_GROUP))
                 assert t.N.tobytes() == rN.tobytes() and np.array_equal(t.kind, rkind)
                 K = int(np.isfinite(t.sums(0, L - 1)).sum())    # the final cap
                 assert K == L or cap is None
@@ -1191,7 +1195,7 @@ class TestPartCountCap:
     part count) bit for bit.  Every test runs from the default start and
     from the smallest one, where every raise and refill path runs."""
 
-    SYSTEMS = [F_SYSTEM, G_SYSTEM, log2_affine_system("h", 2, 1.5, 0.7), ODD_SYSTEM]
+    SYSTEMS = [F_SYSTEM, G_SYSTEM, H_SYSTEM, ODD_SYSTEM]
     KINDS = ["random", "rounded", "near_flat"]
 
     @pytest.fixture(autouse=True, params=[None, 2], ids=["start-default", "start-2"])
@@ -1218,19 +1222,25 @@ class TestPartCountCap:
 
     @staticmethod
     def _one_row_raises(monkeypatch):
-        # under G at L = 128 the random row's scans run past part count 17,
-        # the sparse and geometric rows' stop by 9
+        # under h, which the grouping bound leaves at every part count, the
+        # scans of the row with a spike every 8 positions run past the cap
+        # at lengths above it (from length 65 at cap 64), so the batch
+        # refills lengths already filled; the sparse and geometric rows
+        # raise the cap only at its own length, with no refill
         L = 128
+        assert H_SYSTEM._fill_width(L) == L
         rng = np.random.default_rng(L)
-        lone = FinVector.from_dense(rng.uniform(0.05, 2.0, L))
+        spiked = rng.uniform(0.3, 1.0, L)
+        spiked[::8] = 8.0
+        lone = FinVector.from_dense(spiked)
         rest = [FinVector.from_dense(np.where(rng.random(L) < 0.2, 2.0, 0.01)),
                 FinVector.from_dense(0.9 ** np.arange(L))]
         log = _BandLog(monkeypatch)
-        _capped_fill(rest, G_SYSTEM)
+        _capped_fill(rest, H_SYSTEM)
         quiet = log.refills()
         log.calls.clear()
         batch = rest[:1] + [lone] + rest[1:]
-        _assert_capped_exact(batch, G_SYSTEM)
+        _assert_capped_exact(batch, H_SYSTEM)
         assert log.refills()
         if engine._PART_CAP == 16:
             assert quiet == []
@@ -1244,6 +1254,51 @@ class TestPartCountCap:
         xs = [_batch_vector(rng, 40, kind) for kind in self.KINDS]
         got = norm_values(xs, G_SYSTEM, memo=None)
         assert got == [build_tables(x, G_SYSTEM).value() for x in xs]
+
+
+# weights above 1 that are not monotone: w(4) < w(3), so the grouping
+# bound takes the largest weight of the run sizes, not the last one
+ODD_ABOVE_1 = engine.NormSystem("odd-above-1", 2,
+                                lambda n: {2: 1.5, 3: 1.6, 4: 1.05}.get(n, 2.0 + n))
+
+
+class TestGroupingBound:
+    """N-only fills keep the part counts the grouping bound leaves
+    (``NormSystem._fill_width``); N and kind stay ``build_tables``' bit
+    for bit."""
+
+    def test_widths(self):
+        # a fresh G grows its widths from support 1 up, one doubling at a time
+        fresh = engine.NormSystem("g", 3, G_SYSTEM.weight_fn)
+        assert [fresh._fill_width(L) for L in range(1, 200)] == \
+            list(range(1, 9)) + [8] * 145 + list(range(154, 200))
+        assert [G_SYSTEM._fill_width(L) for L in (12, 64, 96, 128, 153, 154, 155)] == \
+            [8] * 5 + [154, 155]
+        # under F and h the bound never fires; ODD_SYSTEM's w(4) = 0.95
+        # leaves the l1 stop unsound there, so it keeps every part count
+        for system in (F_SYSTEM, H_SYSTEM, ODD_SYSTEM):
+            assert [system._fill_width(L) for L in range(1, 400)] == list(range(1, 400))
+        assert [ODD_ABOVE_1._fill_width(L) for L in range(1, 200)] == [1, 2, 3] + [4] * 196
+
+    @pytest.mark.parametrize("system", [F_SYSTEM, G_SYSTEM, H_SYSTEM, ODD_SYSTEM, ODD_ABOVE_1],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("L", [8, 9, 50, 51, 128, 153, 154])
+    def test_narrow_fill_matches_build_tables(self, system, L):
+        rng = np.random.default_rng(L)
+        xs = [_batch_vector(rng, L, kind) for kind in ("random", "rounded", "near_flat")]
+        want = [build_tables(x, system) for x in xs]
+        K = system._fill_width(L)
+        for rows in (xs[:1], xs):
+            N, kind, S = engine._fill(engine._padded([x.values for x in rows], L), system)
+            assert max(A.shape[-1] for A in S) == K
+            for b, t in enumerate(want[:len(rows)]):
+                assert N[b].tobytes() == t.N.tobytes()
+                assert kind[b].tobytes() == t.kind.tobytes()
+
+    def test_g_fill_at_96_keeps_8_part_counts(self):
+        row = engine._padded([np.random.default_rng(96).uniform(0.05, 2.0, 96)], 96)
+        _, _, S = engine._fill(row, G_SYSTEM)
+        assert [A.shape for A in S] == [(1, 96, 96, 8)]
 
 
 class TestPartCountCapWork:
