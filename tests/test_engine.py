@@ -308,7 +308,6 @@ class TestConstantFastPath:
 H_SYSTEM = log2_affine_system("h", 2, 1.5, 0.75)
 # a weight below 1 at n = 4, and so not increasing
 ODD_SYSTEM = engine.NormSystem("odd", 2, lambda n: {2: 1.5, 3: 1.6, 4: 0.95}.get(n, 2.0 + n))
-H_SYSTEM = log2_affine_system("h", 2, 1.5, 0.7)
 _CONST_REFERENCE: dict = {}
 
 
@@ -869,9 +868,10 @@ class TestVectorizedKernel:
         # L = 50 the default keeps every length in one S array, and
         # "groups" keeps groups of S_GROUP lengths there too, so lengths
         # 16, 32 and 64 end a group.  A capped G fill past support 8 keeps
-        # 8 part counts (the grouping bound), so one array up to L = 128.  build_tables, and full and capped
-        # fills of one row and of three: N and kind bitwise the loop's, and
-        # every sum a fill keeps bitwise its sum
+        # 8 part counts (the grouping bound), so one array up to L = 128.
+        # build_tables, and full and capped fills of one row and of three:
+        # N and kind bitwise the loop's, and every sum a fill keeps bitwise
+        # its sum
         if cube is not None:
             monkeypatch.setattr(engine, "_CUBE_BYTES", cube)
         xs = _edge_vectors(L)
@@ -1195,7 +1195,7 @@ class TestPartCountCap:
     part count) bit for bit.  Every test runs from the default start and
     from the smallest one, where every raise and refill path runs."""
 
-    SYSTEMS = [F_SYSTEM, G_SYSTEM, H_SYSTEM, ODD_SYSTEM]
+    SYSTEMS = [F_SYSTEM, G_SYSTEM, log2_affine_system("h", 2, 1.5, 0.7), ODD_SYSTEM]
     KINDS = ["random", "rounded", "near_flat"]
 
     @pytest.fixture(autouse=True, params=[None, 2], ids=["start-default", "start-2"])
@@ -1227,8 +1227,8 @@ class TestPartCountCap:
         # at lengths above it (from length 65 at cap 64), so the batch
         # refills lengths already filled; the sparse and geometric rows
         # raise the cap only at its own length, with no refill
-        L = 128
-        assert H_SYSTEM._fill_width(L) == L
+        L, h = 128, TestPartCountCap.SYSTEMS[2]
+        assert h._fill_width(L) == L
         rng = np.random.default_rng(L)
         spiked = rng.uniform(0.3, 1.0, L)
         spiked[::8] = 8.0
@@ -1236,11 +1236,11 @@ class TestPartCountCap:
         rest = [FinVector.from_dense(np.where(rng.random(L) < 0.2, 2.0, 0.01)),
                 FinVector.from_dense(0.9 ** np.arange(L))]
         log = _BandLog(monkeypatch)
-        _capped_fill(rest, H_SYSTEM)
+        _capped_fill(rest, h)
         quiet = log.refills()
         log.calls.clear()
         batch = rest[:1] + [lone] + rest[1:]
-        _assert_capped_exact(batch, H_SYSTEM)
+        _assert_capped_exact(batch, h)
         assert log.refills()
         if engine._PART_CAP == 16:
             assert quiet == []
