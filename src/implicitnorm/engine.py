@@ -49,10 +49,10 @@ under the memory limit; ``norm_values`` (after one memo read per
 distinct key) and ``stabilize_subsequence`` fill through it.  Small
 fills are almost all fixed cost, which a batch pays once.  These
 readers take only N, so their fills keep only the part counts that can
-win.  The grouping bound (``NormSystem._fill_width``) proves, once per
-system, that no G interval of support up to 153 is won by more than 8
-parts, so those fills hold 8 columns of S (one array up to L = 128,
-where its 64 L^2 bytes fit 1 MiB) and test nothing past them.  Elsewhere
+win.  The grouping bound (``NormSystem._fill_width``, which gives G's
+figures) proves, once per system and support, a width K past which no
+part count can win; those fills hold K columns of S, take their layout
+from that width (``_group``) and test nothing past them.  Elsewhere
 each length stops at a part-count cap that the scan's own early stop
 says is exact, and the cap doubles where it is not.  ``build_tables``
 fills every part count, since its readers take S, and F gets no bound,
@@ -122,8 +122,7 @@ CONST_BUDGET = 1 << 15
 # Consecutive lengths per S array past the size below (``_group``): a
 # length takes about ell / S_GROUP add-max steps, one per group of rests.
 S_GROUP = 16
-# Bytes of a vector's S that one array of every length may take: L <= 50,
-# or L <= 128 for a fill that keeps 8 part counts
+# Bytes of a vector's S that one array of every length may take (``_group``)
 _CUBE_BYTES = 1 << 20
 # Elements per batch row of the add temporary of one fill step; numpy's
 # iterator buffers come on top, up to this size for each strided operand.
@@ -212,12 +211,16 @@ class NormSystem:
         ``_ConstTables._band``), so past the first weight that does not,
         nothing is ruled out.  The margin 1e-9 absorbs rounding: the ratio
         reaches 1 + 4e-16 where the bound is tight.  Under G this rules out
-        n = 9..153, so fills up to support 153 keep 8 part counts.  K is
-        one below the first part count ruled out; past the end of that run
-        a fill keeps L."""
-        widths = self._widths
+        n = 9..153, so fills of support 9..153 keep 8 part counts, in one S
+        array up to support 128 (``_group``).  K is one below the first part
+        count ruled out; past the end of that run a fill keeps L, and below
+        n0^2, where nothing is ruled out, it keeps L without growing the
+        weight array."""
+        n0, widths = self.min_parts, self._widths
+        if L < n0 * n0:         # nothing up to L is ruled out
+            return L
         if len(widths) <= L:
-            n0, hi = self.min_parts, max(L + 1, 2 * len(widths), self.min_parts ** 2)
+            hi = max(L + 1, 2 * len(widths))
             w, n = self.weight_table(hi)[:hi], np.arange(hi)
             top = np.maximum.accumulate(w[n0:])[np.maximum(-(-n // n0), n0) - n0]
             ruled = ((n >= n0 * n0) & (np.minimum.accumulate(w) > 1.0)
@@ -363,18 +366,18 @@ def _by_right_end(A: np.ndarray) -> np.ndarray:
                       (G - 1) * (su - si), A.strides[:-3] + (si, si - su, sc))
 
 
-def _group(L: int, width: Optional[int] = None) -> int:
+def _group(L: int, width: int) -> int:
     """Lengths per S array: all L while their 8 L^2 width bytes fit
-    _CUBE_BYTES, width being the part counts kept (L when None)."""
-    return L if 8 * L * L * (L if width is None else width) <= _CUBE_BYTES else S_GROUP
+    _CUBE_BYTES, width being the part counts kept."""
+    return L if 8 * L * L * width <= _CUBE_BYTES else S_GROUP
 
 
 def dp_table_bytes(L: int) -> int:
     """Bytes of the N (float64), kind (int16) and S tables at support size
-    L: with G = ``_group(L)``, S's full group g (G lengths, rows for the
+    L: with G = ``_group(L, L)``, S's full group g (G lengths, rows for the
     L - g G starts of its shortest, columns for the G (g + 1) part counts
     of its longest) has G^2 (L - g G)(g + 1) cells, a last one r^2 L."""
-    G = _group(L)
+    G = _group(L, L)
     q, r = divmod(L, G)
     cells = G * G * (L * q * (q + 1) // 2 - G * (q - 1) * q * (q + 1) // 3) + r * r * L
     return 8 * cells + 10 * L * L
@@ -448,13 +451,12 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
     N-only readers) at ``_PART_CAP`` and never past the system's width
     K = ``NormSystem._fill_width(L)``: the grouping bound proves that no
     part count past K can win, so S keeps K columns and a scan at cap K
-    needs no test of a part count past it.  Under G, K = 8 for supports
-    9..153; F, and G past 153, keep K = L.  The cap is exact when every
-    interval's scan has stopped by part count cap + 1, which the scan's
-    own ``dropped`` says from a last column of -inf; where some scan has
-    not, the cap doubles, the lengths filled short of it get their
-    missing part counts in length order, and the length is scanned
-    again.  So N and kind are those of a fill of every part count, and
+    needs no test of a part count past it; F gets K = L.  The cap is
+    exact when every interval's scan has stopped by part count cap + 1,
+    which the scan's own ``dropped`` says from a last column of -inf;
+    where some scan has not, the cap doubles, the lengths filled short of
+    it get their missing part counts in length order, and the length is
+    scanned again.  So N and kind are those of a fill of every part count, and
     each length ell ends with the first min(ell, final cap) part counts
     of S, -inf past them.  At length cap a scan that has not stopped by
     cap / 2 + 1 raises the cap before the next length: a system whose

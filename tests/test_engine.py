@@ -1217,7 +1217,7 @@ class TestPartCountCap:
     def test_one_row_raises_in_one_cube(self, monkeypatch):
         # the same batch with every length's S sums in one array
         monkeypatch.setattr(engine, "_CUBE_BYTES", 8 * 128 ** 3)
-        assert engine._group(128) == 128
+        assert engine._group(128, 128) == 128
         self._one_row_raises(monkeypatch)
 
     @staticmethod
@@ -1268,7 +1268,8 @@ class TestGroupingBound:
     for bit."""
 
     def test_widths(self):
-        # a fresh G grows its widths from support 1 up, one doubling at a time
+        # a fresh G grows its widths from support n0^2 = 9 up, one doubling
+        # at a time; below it every support keeps L
         fresh = engine.NormSystem("g", 3, G_SYSTEM.weight_fn)
         assert [fresh._fill_width(L) for L in range(1, 200)] == \
             list(range(1, 9)) + [8] * 145 + list(range(154, 200))
@@ -1299,6 +1300,15 @@ class TestGroupingBound:
         row = engine._padded([np.random.default_rng(96).uniform(0.05, 2.0, 96)], 96)
         _, _, S = engine._fill(row, G_SYSTEM)
         assert [A.shape for A in S] == [(1, 96, 96, 8)]
+
+    def test_huge_min_parts_grows_nothing(self):
+        # below n0^2 nothing is ruled out, so a short vector under a system
+        # with a huge minimum part count grows only the weights its fill reads
+        huge = log2_affine_system("huge", 10 ** 6, 1.0, 1.0)
+        x = FinVector.from_dense([1.0, 2.0, 0.5])
+        assert norm_value(x, huge, memo=None) == 2.0
+        assert huge._fill_width(3) == 3
+        assert len(huge._table) < 16 and len(huge._widths) == 0
 
 
 class TestPartCountCapWork:
