@@ -174,6 +174,7 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
 
     coords = y.coords
     vabs = tuple(abs(v) for _, v in coords)
+    engine._check_l1(vabs)
     L = len(coords)
     if table is None and L <= _WHOLE_TABLE_MAX:
         table = next(engine._n_tables([vabs], system, guard), (0, None))[1]
@@ -233,6 +234,12 @@ def split_count_bounds(eps: float, system: NormSystem = F_SYSTEM) -> tuple[int, 
 # Flat l1-style averages
 # ---------------------------------------------------------------------------
 
+def _check_block(n_len: int, guard: int) -> None:
+    """The resource check ``norm_value`` runs on a flat block of n_len
+    coordinates, run before the block is built."""
+    engine._check_resources(n_len, guard, flat=n_len >= engine.CONSTANT_ROUTE_MIN)
+
+
 def l1_average_block(m: int, n_len: int, start: int = 1, *,
                      system: NormSystem = F_SYSTEM,
                      tol: float = DEFAULT_TOLERANCE,
@@ -248,6 +255,7 @@ def l1_average_block(m: int, n_len: int, start: int = 1, *,
     """
     if m < 1 or n_len < 1:
         raise DomainError("m and n_len must be >= 1")
+    _check_block(n_len, guard)
     scale = system.weight_fn(n_len) / n_len
     blocks = []
     for k in range(m):
@@ -526,6 +534,10 @@ def greedy_block_select(eps_schedule: Sequence[float], budget: int, *,
         n_len = max(1, support_budget // m)
         level: dict = {"level": n, "eps": eps_n, "m": m, "n_len": n_len,
                        "start": cur}
+        # refuse before l1_average_block builds m blocks, in the order of
+        # its check and then of constant_vector_norm's below
+        _check_block(n_len, guard)
+        engine._check_resources(m * n_len, guard, flat=True)
         try:
             _, certificate = l1_average_block(m, n_len, cur, system=system,
                                               tol=tol, guard=guard)
@@ -634,6 +646,8 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
             pool = [i for i in pool if blocks[i].linf() <= eps_n / 2.0 + tol]
         else:
             pool = [i for i in pool if blocks[i].linf() <= eps_n + tol]
+            for i in pool:      # each splits: its refusal comes before any fill
+                engine._check_l1(blocks[i].values)
             ids = [i for i in pool if not _routes_flat(tuple(map(abs, blocks[i].values)))]
             tables = {ids[k]: N for k, N in engine._n_tables(
                 [blocks[i].values for i in ids], system, guard)}

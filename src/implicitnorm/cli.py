@@ -186,6 +186,8 @@ def cmd_seq(args, cfg: Config) -> tuple[int, object]:
         ys = _read_blocks(args.blocks)
         if not ys:          # the samples are drawn up to the last block
             raise DomainError("blocks must hold at least one block")
+        if args.samples < 1:
+            raise DomainError("samples must be >= 1")
         op = blocks.build_projection(ys, system=system, tol=cfg.tolerance,
                                      guard=cfg.support_guard)
         rng = np.random.default_rng(args.seed)
@@ -275,6 +277,8 @@ def cmd_audit(args, cfg: Config) -> tuple[int, object]:
 def _audit_gnorm(args, cfg: Config) -> tuple[int, object]:
     if args.cases < 1:
         raise DomainError("cases must be >= 1")
+    if args.lmax < 2:       # the scalar checks run over ell = 2..lmax
+        raise DomainError("lmax must be >= 2")
     lmax = args.lmax
     scalar_ok = double_ok = True
     # fixed-size chunks keep memory flat however large lmax is

@@ -49,15 +49,14 @@ under the memory limit; ``norm_values`` (after one memo read per
 distinct key) and ``stabilize_subsequence`` fill through it.  Small
 fills are almost all fixed cost, which a batch pays once.  These
 readers take only N, so their fills keep only the part counts that can
-win.  The grouping bound (``NormSystem._fill_width``, which gives G's
-figures) proves, once per system and support, a width K past which no
-part count can win; those fills hold K columns of S, take their layout
-from that width (``_group``) and test nothing past them.  Elsewhere
-each length stops at a part-count cap that the scan's own early stop
-says is exact, and the cap doubles where it is not.  ``build_tables``
-fills every part count, since its readers take S, and F gets no bound,
-so its fills keep width L on both paths; ``dp_table_bytes`` and the
-guard count full-width tables for every fill.
+win: one rule, the grouping bound (``NormSystem._fill_width``, which
+gives G's figures), proves once per system and support a width K past
+which no part count can win, and those fills hold K columns of S, take
+their layout from that width (``_group``) and scan nothing past them.
+Where the bound rules nothing out, under F and for G past support 153,
+K = L.  ``build_tables`` fills every part count, since its readers take
+S; ``dp_table_bytes`` and the guard count full-width tables for every
+fill.
 ``_plan`` is the one route decision of every reader: bitwise-constant
 vectors take a composition DP over lengths instead, which reaches the
 support guard (4096).  It fills each length only with the part counts
@@ -127,10 +126,6 @@ _CUBE_BYTES = 1 << 20
 # Elements per batch row of the add temporary of one fill step; numpy's
 # iterator buffers come on top, up to this size for each strided operand.
 DP_BATCH = 1 << 13
-# Part counts every length of an N-only interval fill starts with; the
-# cap doubles where a scan needs more (``_fill``).  At least 2, so that
-# every band of part counts it fills is nonempty.
-_PART_CAP = 16
 BRUTE_SUPPORT_CAP = 8
 # ``norm`` evaluates its witness on the input; the witness adds left to
 # right while the DP nests its sums, so they agree to rounding, not bits.
@@ -383,6 +378,13 @@ def dp_table_bytes(L: int) -> int:
     return 8 * cells + 10 * L * L
 
 
+def _check_l1(values: Sequence[float]) -> None:
+    """Refuse coefficients whose l1 norm overflows float64: the tables'
+    part sums reach it."""
+    if not math.isfinite(sum(map(abs, values))):
+        raise DomainError("the l1 norm of the vector overflows float64")
+
+
 def _check_resources(L: int, guard: int, flat: bool, B: int = 1) -> int:
     """The one resource check of both routes: the support guard, then the
     route's table memory against ``DP_MEMORY_LIMIT_BYTES``, estimated
@@ -404,8 +406,8 @@ def _n_tables(rows: Sequence[Sequence[float]], system: NormSystem, guard: int
               ) -> Iterator[tuple[int, np.ndarray]]:
     """(k, N table of rows[k]) for each row whose size the interval route
     admits, one ``_fill`` per size split into parts that ``_check_resources``
-    sizes; refused sizes yield nothing.  Only N is read, so the fills cap
-    the part counts (``_fill``'s default)."""
+    sizes; refused sizes yield nothing.  Only N is read, so the fills keep
+    the system's width (``NormSystem._fill_width``)."""
     by_size: dict[int, list[int]] = {}
     for k, row in enumerate(rows):
         by_size.setdefault(len(row), []).append(k)
@@ -416,7 +418,8 @@ def _n_tables(rows: Sequence[Sequence[float]], system: NormSystem, guard: int
             continue
         for k0 in range(0, len(ks), part):
             chunk = ks[k0:k0 + part]
-            yield from zip(chunk, _fill(_padded([rows[k] for k in chunk], L), system)[0])
+            pad = _padded([rows[k] for k in chunk], L)
+            yield from zip(chunk, _fill(pad, system, system._fill_width(L))[0])
 
 
 def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
@@ -424,6 +427,7 @@ def build_tables(x: FinVector, system: NormSystem = F_SYSTEM, *,
     L = x.support_size()
     if L == 0:
         raise DomainError("zero vector has no DP tables")
+    _check_l1(x.values)
     _check_resources(L, guard, flat=False)
     pad = _padded([x.values], L)
     N, kind, S = _fill(pad, system, L)      # every part count: S is read
@@ -438,39 +442,25 @@ def _padded(rows: Sequence[Sequence[float]], L: int) -> np.ndarray:
     return pad
 
 
-def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
+def _fill(pad: np.ndarray, system: NormSystem, K: int
           ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The interval DP of every row of V = pad[:, :L], a (B, L) stack of
-    absolute coefficients (``_padded``): N[b] and kind[b] are row b's
-    tables, bit for bit those of a fill of row b alone.  The batch axis
-    leads every table, so each step below serves all rows with one numpy
-    call.
+    absolute coefficients (``_padded``), over part counts up to K: N[b]
+    and kind[b] are row b's tables, bit for bit those of a fill of row b
+    alone.  The batch axis leads every table, so each step below serves
+    all rows with one numpy call.
 
-    Each length fills the part counts n = 1..min(length, cap) of S
-    (``_fill_band``), the cap starting at ``cap``, or when None (the
-    N-only readers) at ``_PART_CAP`` and never past the system's width
-    K = ``NormSystem._fill_width(L)``: the grouping bound proves that no
-    part count past K can win, so S keeps K columns and a scan at cap K
-    needs no test of a part count past it; F gets K = L.  The cap is
-    exact when every interval's scan has stopped by part count cap + 1,
-    which the scan's own ``dropped`` says from a last column of -inf;
-    where some scan has not, the cap doubles, the lengths filled short of
-    it get their missing part counts in length order, and the length is
-    scanned again.  So N and kind are those of a fill of every part count, and
-    each length ell ends with the first min(ell, final cap) part counts
-    of S, -inf past them.  At length cap a scan that has not stopped by
-    cap / 2 + 1 raises the cap before the next length: a system whose
-    scans stop late (F) fills each length in one pass.  A given ``cap``,
-    what ``build_tables`` passes (L), keeps K = L, and at cap >= L every
-    part count is filled.
-
-    Length ell's sums, S[g][:, ell - 1 - g G, :L - ell + 1, :min(ell, K)]
-    with g = (ell - 1) // G (``_group`` of L and K), are filled and
-    scanned in place."""
+    Each length ell fills the part counts n = 1..min(ell, K) of S
+    (``_fill_band``) and scans them (``_scan_length``).  ``build_tables``
+    passes K = L, every part count; the N-only readers pass the system's
+    width ``NormSystem._fill_width(L)``, past which the grouping bound
+    proves no part count can win, so N and kind are those of a fill of
+    every part count at either width.  S keeps K columns: length ell's
+    sums, S[g][:, ell - 1 - g G, :L - ell + 1, :min(ell, K)] with
+    g = (ell - 1) // G (``_group`` of L and K), are filled and scanned in
+    place, -inf past them."""
     B, L = pad.shape[0], pad.shape[1] // 2
     V = pad[:, :L]
-    K = L if cap is not None else system._fill_width(L)
-    cap = min(_PART_CAP if cap is None else cap, K)
     # wv[n - 1] divides the n-part sums; wv[0] = 1 passes the sup norm
     wv = np.concatenate(([1.0], system.weight_table(L)[2:L + 1]))
     G = _group(L, K)
@@ -499,33 +489,12 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
     for ell in range(2, L + 1):
         cnt = L - ell + 1     # starts 0..L-ell, right ends ell-1..L-1
         g, u = divmod(ell - 1, G)
-        rows = S[g][:, u, :cnt, :ell]       # rows[b, i, n - 1]
-        n1 = min(ell, cap)    # the part counts filled
-        _fill_band(N_band, S, ends, ell, 1, n1)
+        rows = S[g][:, u, :cnt, :ell]       # rows[b, i, n - 1], n <= min(ell, K)
+        _fill_band(N_band, S, ends, ell, rows.shape[2])
         sup = np.maximum(sup[:, :cnt], V[:, ell - 1:])
         rows[:, :, 0] = sup
-        l1 = np.add.reduce(win[:, :cnt, :ell], axis=2)
-        while True:
-            scan = rows
-            if n1 < rows.shape[2]:      # a last column of -inf tests n1 + 1 parts
-                scan = rows[:, :, :n1 + 1]
-                scan[:, :, n1] = -np.inf
-            arg, dropped = _scan_length(scan, l1, wv[:scan.shape[2]])
-            # a capped scan that has not stopped by n1 + 1 parts raises the
-            # cap; at length cap, one that has not stopped by cap / 2 + 1
-            # raises it before the lengths it would split
-            if (ell < cap or cap >= K
-                    or dropped[:, :, (n1 if n1 < ell else cap // 2) - 1].all()):
-                break
-            old, cap = cap, min(2 * cap, K)
-            if n1 == ell:
-                break
-            for ln in range(old + 1, ell):
-                _fill_band(N_band, S, ends, ln, old, min(ln, cap))
-            n1 = min(ell, cap)
-            rows[:, :, 0] = sup
-            _fill_band(N_band, S, ends, ell, old, n1)
-        del dropped
+        arg = _scan_length(rows, np.add.reduce(win[:, :cnt, :ell], axis=2),
+                           wv[:rows.shape[2]])
         kind_band[:, :cnt, ell - 1] = part_count[arg]
         N_band[:, :cnt, ell - 1] = rows[:, :, 0]
         del arg               # freed before the next add-max, where fills peak
@@ -534,35 +503,35 @@ def _fill(pad: np.ndarray, system: NormSystem, cap: Optional[int] = None
 
 
 def _fill_band(N_band: np.ndarray, S: list[np.ndarray], ends: list[np.ndarray],
-               ell: int, c0: int, c1: int) -> None:
-    """Columns c0..c1-1 (part counts c0 + 1..c1, c0 >= 1) of the sums of
-    every interval of length ell, in S, each the max over its first
-    part's length k = 1..ell-c0 of N of that part plus the rest's best
-    sum over one part fewer.  The rests of one length group are one slice
-    of its view ``ends`` (``_by_right_end``), longest first: the group of
-    length ell - 1 covers the band and writes it, a lower one the columns
-    up to its longest length, which its length axis says (a narrow fill
-    keeps fewer columns).  Steps of `step` starts and `span` first parts
-    keep the sum under DP_BATCH per row."""
+               ell: int, n1: int) -> None:
+    """Columns 1..n1-1 (part counts 2..n1) of the sums of every interval
+    of length ell, in S, each the max over its first part's length
+    k = 1..ell-1 of N of that part plus the rest's best sum over one part
+    fewer.  The rests of one length group are one slice of its view
+    ``ends`` (``_by_right_end``), longest first: the group of length
+    ell - 1 covers the band and writes it, a lower one the columns up to
+    its longest length, which its length axis says (a narrow fill keeps
+    fewer columns).  Steps of `step` starts and `span` first parts keep
+    the sum under DP_BATCH per row."""
     G, cnt, amax = S[0].shape[1], N_band.shape[2] - ell, np.maximum.reduce
     g, u = divmod(ell - 1, G)
-    r, m = ell - 1, c1 - c0     # the longest rest left; the columns it covers
-    while r >= c0:
+    r, m = ell - 1, n1 - 1      # the longest rest left; the columns it covers
+    while r >= 1:
         h = (r - 1) // G
-        end, lo = ends[h], max(c0, h * G + 1)
+        end, lo = ends[h], h * G + 1
         top = h * G + end.shape[-2]         # the group's longest length
-        m, ka, kb = min(m, top - c0 + 1), ell - r, ell + 1 - lo    # k of rests r..lo
+        m, ka, kb = min(m, top), ell - r, ell + 1 - lo      # k of rests r..lo
         span = min(kb - ka, max(1, DP_BATCH // m))
         step = max(1, DP_BATCH // (span * m))
         # end[:, s0 + i, t0 + k]: the rest after a first part k at start i
         s0, t0, first = ell - 1 - h * G, top - ell, r == ell - 1
         for i0 in range(0, cnt, step):
             i1 = min(i0 + step, cnt)
-            out = S[g][:, u, i0:i1, c0:c0 + m]
+            out = S[g][:, u, i0:i1, 1:1 + m]
             for k in range(ka, kb, span):
                 k1 = min(k + span, kb)
                 part = N_band[:, i0:i1, k - 1:k1 - 1, None]
-                rest = end[:, s0 + i0:s0 + i1, t0 + k:t0 + k1, c0 - 1:c0 - 1 + m]
+                rest = end[:, s0 + i0:s0 + i1, t0 + k:t0 + k1, :m]
                 if first and k == ka:
                     amax(part + rest, axis=2, out=out)
                 else:
@@ -570,8 +539,7 @@ def _fill_band(N_band: np.ndarray, S: list[np.ndarray], ends: list[np.ndarray],
         r = lo - 1
 
 
-def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Norm and winning part count of every interval of one length.
 
     ``rows[b, i]`` holds sup, then the best sums over n = 2.. parts, of
@@ -583,19 +551,14 @@ def _scan_length(rows: np.ndarray, l1: np.ndarray, w: np.ndarray
     before n) and replaces the incumbent only on strict improvement:
     candidates from the stop on are dropped, and the first maximum of sup
     and the rest wins.  Writes the norms into ``rows[..., 0]`` and returns
-    the winning columns (0 for sup, n - 1 for n parts) and ``dropped``,
-    whose column n - 2 says whether the scan has stopped by n parts.
-    Since a column's test reads only the columns before it, a last column
-    of -inf changes no result, and where its test holds for every row no
-    part count past the others can change one either (``_fill``'s cap).
+    the winning columns (0 for sup, n - 1 for n parts).
     """
     vals = rows / w
     dropped = np.logical_or.accumulate(
         l1[..., None] / w[1:] < np.maximum.accumulate(vals, axis=-1)[..., :-1], axis=-1)
     np.copyto(vals[..., 1:], -np.inf, where=dropped)
-    arg = vals.argmax(axis=-1)
     rows[..., 0] = vals.max(axis=-1)
-    return arg, dropped
+    return vals.argmax(axis=-1)
 
 
 def _witness(t: IntervalTables | _FlatTables, i: int, j: int) -> WitnessTree:
@@ -801,9 +764,11 @@ def _plan(x: FinVector, system: NormSystem, guard: int
 
     At least CONSTANT_ROUTE_MIN bitwise-equal coefficients read the
     shared composition tables at unit scale; every other vector gets its
-    own interval DP at c = 1, which scales exactly.  The resource check
-    runs here, so it refuses before the caller reads the memo."""
+    own interval DP at c = 1, which scales exactly.  The domain and
+    resource checks run here, so they refuse before the caller reads the
+    memo."""
     vabs = tuple(abs(v) for v in x.values)
+    _check_l1(vabs)
     flat = _routes_flat(vabs)
     _check_resources(len(vabs), guard, flat)
     if flat:

@@ -541,8 +541,8 @@ class TestStabilize:
         monkeypatch.setattr(engine, "DP_MEMORY_LIMIT_BYTES", 4 * engine.dp_table_bytes(24))
         fill, shapes = engine._fill, []
         monkeypatch.setattr(engine, "_fill",
-                            lambda pad, system:
-                            shapes.append(pad.shape) or fill(pad, system))
+                            lambda pad, system, K:
+                            shapes.append(pad.shape) or fill(pad, system, K))
         assert outputs() == want
         # the six members' tables come first, in parts of four and two
         assert shapes[:2] == [(4, 48), (2, 48)]

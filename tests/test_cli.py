@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from implicitnorm import FinVector, cli, engine
+from implicitnorm import FinVector, blocks, cli, engine
 
 
 def run_cli(*argv):
@@ -280,6 +280,7 @@ class TestStdoutPins:
 
 
 _BLOCK = '[{"coords": [[1, 1.0]]}]'
+_HUGE_BLOCK = '[{"coords": [[1, 1e308], [2, 1e308]]}]'
 
 
 class TestInputErrors:
@@ -324,18 +325,48 @@ class TestInputErrors:
          "tail tolerance"),
         (("seq", "stabilize", "--eps-schedule", "[]", _BLOCK), "eps schedule"),
         (("audit", "beta", "--d", "0", "--log2r", "0.01"), "too close to 1"),
+        (("norm", '{"dense":[1e308,1e308]}'), "l1 norm"),
+        (("norm", '{"dense":[1e308,1e308,1e308]}'), "l1 norm"),
+        (("seq", "equiv", "--coeffs", "[[1]]", _HUGE_BLOCK, _HUGE_BLOCK), "l1 norm"),
+        (("seq", "split", "--eps", "1e308", '{"dense":[1e308,1e308]}'), "l1 norm"),
+        (("seq", "stabilize", "--eps-schedule", "[1e308]", _HUGE_BLOCK), "l1 norm"),
+        (("audit", "pente", "--r", "2", "--d", "1.1", '{"dense":[1e308,1e308]}'), "l1 norm"),
+        (("seq", "project", "--samples", "-5", _BLOCK), "samples"),
+        (("seq", "project", "--samples", "0", _BLOCK), "samples"),
+        (("audit", "gnorm", "--lmax", "-3"), "lmax"),
+        (("audit", "gnorm", "--lmax", "1"), "lmax"),
     ], ids=["select-schedule-zero", "select-schedule-nan", "select-schedule-negative",
             "beta-tail-tol-nan", "beta-tail-tol-negative", "project-no-blocks",
             "split-eps-inf", "lemma-duo-eps-inf", "stabilize-schedule-inf",
             "stabilize-schedule-zero", "ineq-c-zero", "ineq-c-nan", "ineq-c-inf",
             "beta-base-inf", "beta-base-weight-1", "beta-base-below-1",
             "beta-tilde-base-below-1", "beta-tail-tol-zero", "beta-tail-tol-overflow",
-            "stabilize-schedule-empty", "beta-base-weight-near-1"])
+            "stabilize-schedule-empty", "beta-base-weight-near-1", "norm-l1-overflow-2",
+            "norm-l1-overflow-3", "equiv-l1-overflow", "split-l1-overflow",
+            "stabilize-l1-overflow", "pente-l1-overflow", "project-samples-negative",
+            "project-samples-0", "gnorm-lmax-negative", "gnorm-lmax-1"])
     def test_value_refused_where_it_enters_exit_2(self, argv, key):
-        # each of these once ended in a traceback and exit 1
+        # each of these once ended in a traceback and exit 1, a wrong
+        # answer, or a pass that checked nothing
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, "")
         assert "input error" in err and key in err
+
+    @pytest.mark.parametrize("argv,before", [
+        (("seq", "select", "--budget", "1", "--eps-schedule", "[1e-4]"), 0),
+        # the first level's 8 blocks and its flat average y, at eps 0.5
+        (("seq", "select", "--budget", "2", "--eps-schedule", "[0.5, 1e-4]"), 9),
+        (("seq", "l1", "--m", "2", "--n", "100000"), 0),
+    ], ids=["select-40000-blocks", "select-second-level", "l1-long-blocks"])
+    def test_guard_refuses_before_blocks_are_built_exit_3(self, monkeypatch, argv, before):
+        # the check later norms would run refuses before any block is
+        # built, which once took seconds, or forever at eps 1e-300
+        built = []
+        monkeypatch.setattr(blocks, "FinVector", lambda *a: built.append(a) or FinVector(*a))
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "")
+        assert "resource guard" in err and "exceeds guard 4096" in err
+        assert len(built) == before
 
     @pytest.mark.parametrize("content,key", [
         ([], "JSON object"),

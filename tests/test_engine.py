@@ -711,6 +711,30 @@ def _golden_refinement_digest(system, xs):
     return h.hexdigest()
 
 
+def _golden_n_only_digest(system, xs):
+    """Digest of the N tables the N-only route (``_n_tables``) fills for
+    xs, one batch per support size."""
+    Ns = dict(engine._n_tables([x.values for x in xs], system, engine.DEFAULT_SUPPORT_GUARD))
+    h = hashlib.blake2b(digest_size=16)
+    for k in range(len(xs)):
+        h.update(np.ascontiguousarray(Ns[k], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# scans of the spiked row run far past every part count the other rows need
+SPIKE_SYSTEM = log2_affine_system("h", 2, 1.5, 0.7)
+
+
+def _spiked_batch(L=128):
+    """A sparse two-level row, a row with a spike every 8 positions and a
+    geometric row, the batch the part-count cap once had to refill."""
+    rng = np.random.default_rng(L)
+    spiked = rng.uniform(0.3, 1.0, L)
+    spiked[::8] = 8.0
+    return [FinVector.from_dense(np.where(rng.random(L) < 0.2, 2.0, 0.01)),
+            FinVector.from_dense(spiked), FinVector.from_dense(0.9 ** np.arange(L))]
+
+
 def _golden_tail_layer_digest(system):
     """Digest of tail_layer_norm on both routes, at thresholds below,
     inside and far beyond the supports, refusal texts included."""
@@ -867,30 +891,28 @@ class TestVectorizedKernel:
         # rounded coefficients planting exact ties between splits; up to
         # L = 50 the default keeps every length in one S array, and
         # "groups" keeps groups of S_GROUP lengths there too, so lengths
-        # 16, 32 and 64 end a group.  A capped G fill past support 8 keeps
+        # 16, 32 and 64 end a group.  An N-only G fill past support 8 keeps
         # 8 part counts (the grouping bound), so one array up to L = 128.
-        # build_tables, and full and capped fills of one row and of three:
-        # N and kind bitwise the loop's, and every sum a fill keeps bitwise
-        # its sum
+        # build_tables, and fills of one row and of three at width L and at
+        # the system's width: N and kind bitwise the loop's, and every sum a
+        # fill keeps bitwise its sum
         if cube is not None:
             monkeypatch.setattr(engine, "_CUBE_BYTES", cube)
         xs = _edge_vectors(L)
         refs = [_edge_reference(L, system, k) for k in range(len(xs))]
         fills = [(L, [build_tables(xs[0], system)])]
         for rows in (xs[:1], xs):
-            for cap in (L, None):
-                N, kind, S = engine._fill(engine._padded([x.values for x in rows], L), system, cap)
-                fills.append((cap, [engine.IntervalTables(system, x.indices, None, N[b],
-                                                          [A[b] for A in S], kind[b])
-                                    for b, x in enumerate(rows)]))
-        for cap, tables in fills:
-            narrow = cap is None and system is G_SYSTEM and L > 8
+            for K in (L, system._fill_width(L)):
+                N, kind, S = engine._fill(engine._padded([x.values for x in rows], L), system, K)
+                fills.append((K, [engine.IntervalTables(system, x.indices, None, N[b],
+                                                        [A[b] for A in S], kind[b])
+                                  for b, x in enumerate(rows)]))
+        for K, tables in fills:
             for t, (rN, rS, rkind) in zip(tables, refs):
-                assert len(t.S) == (1 if cube is None and (L <= 50 or narrow)
+                assert len(t.S) == (1 if cube is None and (L <= 50 or K < L)
                                     else -(-L // engine.S_GROUP))
                 assert t.N.tobytes() == rN.tobytes() and np.array_equal(t.kind, rkind)
-                K = int(np.isfinite(t.sums(0, L - 1)).sum())    # the final cap
-                assert K == L or cap is None
+                assert int(np.isfinite(t.sums(0, L - 1)).sum()) == K
                 for j in range(L):
                     for i in range(j + 1):
                         m, got = min(j - i + 1, K), t.sums(i, j)
@@ -1016,6 +1038,31 @@ class TestGoldenDigests:
                   "g": "cb62046fa06bedb5247a330358249ab1"}
     REFINEMENT_LARGE = {"f": "726c29f904098ee54c82eb2fef40cbc8",
                         "g": "1848d846a273bef3ef0455df273a7677"}
+
+    # recorded from the N-only fills of the part-count cap that doubled on
+    # demand, which the grouping bound's width alone replaced; G past
+    # support 153, where the bound rules nothing out, and the spiked batch
+    # under h are where the cap raised and refilled
+    N_ONLY = {
+        ("f", 16): "df262ec61afad3e0fe0e23697aac219f",
+        ("f", 64): "dc9b9afc18d5051ee4853a18951328a9",
+        ("f", 128): "6848a168959b45bc264f8933f079c727",
+        ("g", 16): "e961c03f313682f98479223bfc780589",
+        ("g", 64): "a73dd28383a21a6f3670d99fe8d55bef",
+        ("g", 128): "3a3d65e5f617473b691c7c9869af4b8c",
+        ("g", 154): "5cef7417bf724c5c4f3caf0c4ac12867",
+        ("g", 200): "50994fc24cf0fa248ef40a7618b63408",
+        ("h", 128): "1af9ebb6806996193b923078745feea4",
+    }
+
+    @pytest.mark.parametrize("name,L", sorted(N_ONLY))
+    def test_n_only_route(self, name, L):
+        if name == "h":
+            system, xs = SPIKE_SYSTEM, _spiked_batch(L)
+        else:
+            system = engine.get_system(name)
+            xs = [_golden_vector(L, 1000 + L, rounded) for rounded in (False, True)]
+        assert _golden_n_only_digest(system, xs) == self.N_ONLY[(name, L)]
 
     @pytest.mark.parametrize("name", sorted(TAIL_LAYER))
     def test_tail_layer_norm(self, name):
@@ -1147,109 +1194,75 @@ class TestBatchedFill:
                        for i in range(L) for j in range(i, L))
 
 
-def _capped_fill(xs, system):
+def _width_fill(pad, system):
+    """``_fill`` at the width the N-only readers pass."""
+    return engine._fill(pad, system, system._fill_width(pad.shape[1] // 2))
+
+
+def _n_only_fill(xs, system):
     """The tables of each of xs, same support size, from one N-only fill:
-    N through ``_n_tables``, kind and S from the capped ``_fill`` it runs."""
+    N through ``_n_tables``, kind and S from the ``_fill`` it runs."""
     rows = [x.values for x in xs]
     Ns = dict(engine._n_tables(rows, system, engine.DEFAULT_SUPPORT_GUARD))
-    _, kinds, S = engine._fill(engine._padded(rows, len(rows[0])), system)
+    _, kinds, S = _width_fill(engine._padded(rows, len(rows[0])), system)
     return [engine.IntervalTables(system, x.indices, None, Ns[b],
                                   [plane[b] for plane in S], kinds[b])
             for b, x in enumerate(xs)]
 
 
-def _assert_capped_exact(xs, system):
+def _assert_n_only_exact(xs, system):
     """N and kind are build_tables', and every length ell holds the first
-    min(ell, K) part counts of its sums, for the one final cap K: every
-    raise fills the lengths already filled up to the new cap."""
-    for x, capped in zip(xs, _capped_fill(xs, system)):
+    min(ell, K) part counts of its sums, K the system's width."""
+    for x, narrow in zip(xs, _n_only_fill(xs, system)):
         t = build_tables(x, system)
-        assert capped.N.tobytes() == t.N.tobytes()
-        assert capped.kind.tobytes() == t.kind.tobytes()
+        assert narrow.N.tobytes() == t.N.tobytes()
+        assert narrow.kind.tobytes() == t.kind.tobytes()
         L = t.size
-        K = int(np.isfinite(capped.sums(0, L - 1)).sum())
+        K = system._fill_width(L)
         for ell in range(1, L + 1):
-            m, got = min(ell, K), capped.length_sums(ell)
+            m, got = min(ell, K), narrow.length_sums(ell)
             assert got[:, :m].tobytes() == t.length_sums(ell)[:, :m].tobytes(), ell
             assert (got[:, m:] == -np.inf).all(), ell
 
 
 class _BandLog:
-    """The (ell, c0, c1) of every ``_fill_band`` call: one column band of
-    one length."""
+    """The (ell, n1) of every ``_fill_band`` call: the part counts 2..n1
+    of one length."""
 
     def __init__(self, monkeypatch):
         self.calls = []
         band = engine._fill_band
-        monkeypatch.setattr(engine, "_fill_band", lambda N_band, S, ends, ell, c0, c1:
-                            self.calls.append((ell, c0, c1))
-                            or band(N_band, S, ends, ell, c0, c1))
-
-    def refills(self):
-        return [c for c in self.calls if c[1] > 1]
+        monkeypatch.setattr(engine, "_fill_band", lambda N_band, S, ends, ell, n1:
+                            self.calls.append((ell, n1)) or band(N_band, S, ends, ell, n1))
 
 
 class TestPartCountCap:
-    """The N-only fill fills each length's part counts up to a cap that
-    doubles on demand; its N and kind must be ``build_tables``' (every
-    part count) bit for bit.  Every test runs from the default start and
-    from the smallest one, where every raise and refill path runs."""
+    """The N-only fill caps each length's part counts at the system's
+    width (``NormSystem._fill_width``); its N and kind must be
+    ``build_tables``' (every part count) bit for bit."""
 
-    SYSTEMS = [F_SYSTEM, G_SYSTEM, log2_affine_system("h", 2, 1.5, 0.7), ODD_SYSTEM]
+    SYSTEMS = [F_SYSTEM, G_SYSTEM, SPIKE_SYSTEM, ODD_SYSTEM]
     KINDS = ["random", "rounded", "near_flat"]
-
-    @pytest.fixture(autouse=True, params=[None, 2], ids=["start-default", "start-2"])
-    def start(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(engine, "_PART_CAP", request.param)
 
     @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
     def test_matches_full_fill(self, system):
         rng = np.random.default_rng(17)
         for k, L in enumerate([1, 2, 3, 5, 8, 15, 16, 17, 18, 24, 31, 32, 33, 47, 64, 65, 100]):
             B = 1 + k % 6 if L <= 65 else 2
-            _assert_capped_exact([_batch_vector(rng, L, self.KINDS[(k + j) % 3])
+            _assert_n_only_exact([_batch_vector(rng, L, self.KINDS[(k + j) % 3])
                                   for j in range(B)], system)
 
-    def test_one_row_raises_for_the_batch(self, monkeypatch):
-        self._one_row_raises(monkeypatch)
-
-    def test_one_row_raises_in_one_cube(self, monkeypatch):
-        # the same batch with every length's S sums in one array
-        monkeypatch.setattr(engine, "_CUBE_BYTES", 8 * 128 ** 3)
-        assert engine._group(128, 128) == 128
-        self._one_row_raises(monkeypatch)
-
-    @staticmethod
-    def _one_row_raises(monkeypatch):
+    def test_spiked_batch(self):
         # under h, which the grouping bound leaves at every part count, the
-        # scans of the row with a spike every 8 positions run past the cap
-        # at lengths above it (from length 65 at cap 64), so the batch
-        # refills lengths already filled; the sparse and geometric rows
-        # raise the cap only at its own length, with no refill
-        L, h = 128, TestPartCountCap.SYSTEMS[2]
-        assert h._fill_width(L) == L
-        rng = np.random.default_rng(L)
-        spiked = rng.uniform(0.3, 1.0, L)
-        spiked[::8] = 8.0
-        lone = FinVector.from_dense(spiked)
-        rest = [FinVector.from_dense(np.where(rng.random(L) < 0.2, 2.0, 0.01)),
-                FinVector.from_dense(0.9 ** np.arange(L))]
-        log = _BandLog(monkeypatch)
-        _capped_fill(rest, h)
-        quiet = log.refills()
-        log.calls.clear()
-        batch = rest[:1] + [lone] + rest[1:]
-        _assert_capped_exact(batch, h)
-        assert log.refills()
-        if engine._PART_CAP == 16:
-            assert quiet == []
+        # scans of the spiked row run far past those of the other two
+        assert SPIKE_SYSTEM._fill_width(128) == 128
+        _assert_n_only_exact(_spiked_batch(), SPIKE_SYSTEM)
 
     @pytest.mark.parametrize("name,L,rounded", sorted(TestGoldenDigests.DP))
     def test_golden_vectors(self, name, L, rounded):
-        _assert_capped_exact([_golden_vector(L, 1000 + L, rounded)], engine.get_system(name))
+        _assert_n_only_exact([_golden_vector(L, 1000 + L, rounded)], engine.get_system(name))
 
-    def test_norm_values_read_the_capped_fill(self):
+    def test_norm_values_read_the_n_only_fill(self):
         rng = np.random.default_rng(23)
         xs = [_batch_vector(rng, 40, kind) for kind in self.KINDS]
         got = norm_values(xs, G_SYSTEM, memo=None)
@@ -1290,7 +1303,7 @@ class TestGroupingBound:
         want = [build_tables(x, system) for x in xs]
         K = system._fill_width(L)
         for rows in (xs[:1], xs):
-            N, kind, S = engine._fill(engine._padded([x.values for x in rows], L), system)
+            N, kind, S = _width_fill(engine._padded([x.values for x in rows], L), system)
             assert max(A.shape[-1] for A in S) == K
             for b, t in enumerate(want[:len(rows)]):
                 assert N[b].tobytes() == t.N.tobytes()
@@ -1298,7 +1311,7 @@ class TestGroupingBound:
 
     def test_g_fill_at_96_keeps_8_part_counts(self):
         row = engine._padded([np.random.default_rng(96).uniform(0.05, 2.0, 96)], 96)
-        _, _, S = engine._fill(row, G_SYSTEM)
+        _, _, S = _width_fill(row, G_SYSTEM)
         assert [A.shape for A in S] == [(1, 96, 96, 8)]
 
     def test_huge_min_parts_grows_nothing(self):
@@ -1312,8 +1325,9 @@ class TestGroupingBound:
 
 
 class TestPartCountCapWork:
-    """The cap saves the part counts no scan reads, and costs a system
-    whose scans stop late (F) nothing but one test per doubling."""
+    """The width saves the part counts that cannot win, and where the
+    grouping bound rules nothing out (F) each length is filled once, over
+    every part count."""
 
     @staticmethod
     def _row(L):
@@ -1321,15 +1335,14 @@ class TestPartCountCapWork:
 
     def test_g_fill_stops_short_of_full_rows(self, monkeypatch):
         log = _BandLog(monkeypatch)
-        engine._fill(self._row(96), G_SYSTEM)
-        assert max(c1 for _, _, c1 in log.calls) < 96
+        _width_fill(self._row(96), G_SYSTEM)
+        assert max(n1 for _, n1 in log.calls) < 96
 
     @pytest.mark.parametrize("L", [24, 64, 96])
     def test_f_fills_each_length_in_one_pass(self, monkeypatch, L):
         log = _BandLog(monkeypatch)
-        engine._fill(self._row(L), F_SYSTEM)
-        assert [c[:2] for c in log.calls] == [(ell, 1) for ell in range(2, L + 1)]
-        assert log.calls[-1][2] == L
+        _width_fill(self._row(L), F_SYSTEM)
+        assert log.calls == [(ell, ell) for ell in range(2, L + 1)]
 
     def test_peak_no_higher_than_build_tables(self):
         x = _golden_vector(128, 5, False)
@@ -1345,7 +1358,7 @@ class TestPartCountCapWork:
                 tracemalloc.stop()
         for system in (F_SYSTEM, G_SYSTEM):
             full = peak(lambda: build_tables(x, system))
-            assert peak(lambda: engine._fill(engine._padded(rows, 128), system)) <= full
+            assert peak(lambda: _width_fill(engine._padded(rows, 128), system)) <= full
 
 
 class TestNormValues:
@@ -1400,7 +1413,7 @@ class TestNormValues:
         monkeypatch.setattr(engine, "DP_MEMORY_LIMIT_BYTES", 3 * dp_table_bytes(12))
         fill, parts = engine._fill, []
         monkeypatch.setattr(engine, "_fill",
-                            lambda pad, system: parts.append(len(pad)) or fill(pad, system))
+                            lambda pad, system, K: parts.append(len(pad)) or fill(pad, system, K))
         assert np.array(norm_values(xs, memo=None)).tobytes() == want.tobytes()
         assert parts == [3, 3, 3, 1]
 
@@ -1432,6 +1445,30 @@ class TestMemoAndDeterminism:
         first = [(norm(x).value, norm(x).witness.to_jsonable()) for x in xs]
         second = [(norm(x).value, norm(x).witness.to_jsonable()) for x in xs]
         assert first == second
+
+
+class TestL1Overflow:
+    """A vector whose l1 norm overflows float64 is refused on both routes
+    by every reader, before the memo is read; one just below is normed."""
+
+    READERS = [norm, norm_value, build_tables, character, norming_functional,
+               lambda x: best_sum(x, 2), lambda x: layer_norm(x, 3),
+               lambda x: tail_layer_norm(x, 3), lambda x: norm_values([ones(3), x])]
+
+    @pytest.mark.parametrize("x", [FinVector.from_dense([1e308, 1e308]),
+                                   FinVector.from_dense([1e308, -1e308, 1e308]),
+                                   ones(70).scale(1e307)], ids=["two", "three", "flat"])
+    def test_refused(self, x):
+        memo = MemoTable()
+        memo.put(F_SYSTEM, tuple(map(abs, x.values)), 1.0)
+        with pytest.raises(DomainError, match="l1 norm"):
+            norm_value(x, memo=memo)
+        for read in self.READERS:
+            with pytest.raises(DomainError, match="l1 norm"):
+                read(x)
+
+    def test_finite_l1_is_normed(self):
+        assert norm_value(FinVector.from_dense([5e307, 5e307]), memo=None) == 1e308 / F2
 
 
 class TestCustomSystem:
