@@ -1040,9 +1040,10 @@ class TestGoldenDigests:
                         "g": "1848d846a273bef3ef0455df273a7677"}
 
     # recorded from the N-only fills of the part-count cap that doubled on
-    # demand, which the grouping bound's width alone replaced; G past
-    # support 153, where the bound rules nothing out, and the spiked batch
-    # under h are where the cap raised and refilled
+    # demand, which the grouping bound's width alone replaced: G past
+    # support 153, where the bound rules nothing out and the cap alone
+    # stopped the fills short, and the spiked batch under h, which the cap
+    # refilled
     N_ONLY = {
         ("f", 16): "df262ec61afad3e0fe0e23697aac219f",
         ("f", 64): "dc9b9afc18d5051ee4853a18951328a9",
