@@ -1240,10 +1240,28 @@ class _BandLog:
 class TestPartCountCap:
     """The N-only fill caps each length's part counts at the system's
     width (``NormSystem._fill_width``); its N and kind must be
-    ``build_tables``' (every part count) bit for bit."""
+    ``build_tables``' (every part count) bit for bit.  Every test runs
+    with the systems' weight and width arrays as they stand and grown
+    from the smallest start, two entries, where every doubling runs."""
 
     SYSTEMS = [F_SYSTEM, G_SYSTEM, SPIKE_SYSTEM, ODD_SYSTEM]
     KINDS = ["random", "rounded", "near_flat"]
+
+    @pytest.fixture(autouse=True, params=[None, 2], ids=["start-default", "start-2"])
+    def start(self, request):
+        if request.param is None:
+            yield
+            return
+        saved = [(s, s._table, s._widths) for s in self.SYSTEMS]
+        for s in self.SYSTEMS:
+            object.__setattr__(s, "_table", s.weight_table(1)[:request.param].copy())
+            object.__setattr__(s, "_widths", np.arange(request.param))
+        try:
+            yield
+        finally:
+            for s, table, widths in saved:
+                object.__setattr__(s, "_table", table)
+                object.__setattr__(s, "_widths", widths)
 
     @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
     def test_matches_full_fill(self, system):
@@ -1253,9 +1271,20 @@ class TestPartCountCap:
             _assert_n_only_exact([_batch_vector(rng, L, self.KINDS[(k + j) % 3])
                                   for j in range(B)], system)
 
-    def test_spiked_batch(self):
+    def test_one_row_raises_for_the_batch(self):
+        self._one_row_raises()
+
+    def test_one_row_raises_in_one_cube(self, monkeypatch):
+        # the same batch with every length's S sums in one array
+        monkeypatch.setattr(engine, "_CUBE_BYTES", 8 * 128 ** 3)
+        assert engine._group(128, 128) == 128
+        self._one_row_raises()
+
+    @staticmethod
+    def _one_row_raises():
         # under h, which the grouping bound leaves at every part count, the
-        # scans of the spiked row run far past those of the other two
+        # scans of the spiked row run far past those of the other two, so
+        # that row alone raises the part counts the batch's scans read
         assert SPIKE_SYSTEM._fill_width(128) == 128
         _assert_n_only_exact(_spiked_batch(), SPIKE_SYSTEM)
 
@@ -1263,7 +1292,7 @@ class TestPartCountCap:
     def test_golden_vectors(self, name, L, rounded):
         _assert_n_only_exact([_golden_vector(L, 1000 + L, rounded)], engine.get_system(name))
 
-    def test_norm_values_read_the_n_only_fill(self):
+    def test_norm_values_read_the_capped_fill(self):
         rng = np.random.default_rng(23)
         xs = [_batch_vector(rng, 40, kind) for kind in self.KINDS]
         got = norm_values(xs, G_SYSTEM, memo=None)
