@@ -31,7 +31,7 @@ from .engine import (
     norm_value,
     norm_values,
 )
-from .vectors import FinVector, Functional, Interval
+from .vectors import FinVector, Functional, Interval, _l1_sum
 
 
 # Supports up to which ``greedy_split`` fills y's whole N table once
@@ -234,12 +234,6 @@ def split_count_bounds(eps: float, system: NormSystem = F_SYSTEM) -> tuple[int, 
 # Flat l1-style averages
 # ---------------------------------------------------------------------------
 
-def _check_block(n_len: int, guard: int) -> None:
-    """The resource check ``norm_value`` runs on a flat block of n_len
-    coordinates, run before the block is built."""
-    engine._check_resources(n_len, guard, flat=n_len >= engine.CONSTANT_ROUTE_MIN)
-
-
 def l1_average_block(m: int, n_len: int, start: int = 1, *,
                      system: NormSystem = F_SYSTEM,
                      tol: float = DEFAULT_TOLERANCE,
@@ -255,7 +249,10 @@ def l1_average_block(m: int, n_len: int, start: int = 1, *,
     """
     if m < 1 or n_len < 1:
         raise DomainError("m and n_len must be >= 1")
-    _check_block(n_len, guard)
+    # refuse before any block is built, as the norm of one block and then
+    # greedy_block_select's norm of their union would
+    engine._check_resources(n_len, guard, flat=n_len >= engine.CONSTANT_ROUTE_MIN)
+    engine._check_resources(m * n_len, guard, flat=True)
     scale = system.weight_fn(n_len) / n_len
     blocks = []
     for k in range(m):
@@ -534,10 +531,6 @@ def greedy_block_select(eps_schedule: Sequence[float], budget: int, *,
         n_len = max(1, support_budget // m)
         level: dict = {"level": n, "eps": eps_n, "m": m, "n_len": n_len,
                        "start": cur}
-        # refuse before l1_average_block builds m blocks, in the order of
-        # its check and then of constant_vector_norm's below
-        _check_block(n_len, guard)
-        engine._check_resources(m * n_len, guard, flat=True)
         try:
             _, certificate = l1_average_block(m, n_len, cur, system=system,
                                               tol=tol, guard=guard)
@@ -670,7 +663,7 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
         check_l1 = check_count = None
         if n > 1:
             h_n, _ = split_count_bounds(min(eps_n, 1.0), system)
-            total_l1 = math.fsum(blocks[i].l1() for i in chosen)
+            total_l1 = _l1_sum(blocks[i].l1() for i in chosen)
             check_l1 = total_l1 < system.weight_fn(h_n) * 2.0 ** (-n)
             check_count = prev_count * eps_n < 2.0 ** (-n)
 

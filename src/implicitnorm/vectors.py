@@ -185,7 +185,17 @@ class FinVector:
         return max((abs(v) for _, v in self.coords), default=0.0)
 
     def l1(self) -> float:
-        return math.fsum(abs(v) for _, v in self.coords)
+        """The absolute sum, inf where it overflows float64."""
+        return _l1_sum(abs(v) for _, v in self.coords)
+
+
+def _l1_sum(terms: Iterable[float]) -> float:
+    """``math.fsum`` of nonnegative terms, or inf where the sum overflows
+    float64: fsum raises on finite terms whose sum is not finite."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def elementary_norms(x: FinVector) -> tuple[float, float]:

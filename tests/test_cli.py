@@ -139,6 +139,18 @@ class TestSeqCommands:
         data = json.loads(out)
         assert [lv["level"] for lv in data["levels"]] == [1, 2]
 
+    def test_stabilize_l1_growth_overflow_reads_false(self):
+        # each chosen block's l1 norm is finite but their sum is not: the
+        # growth check reads false where it once raised OverflowError
+        blocks = json.dumps([{"coords": [[2 * i + 1, 4e307], [2 * i + 2, 4e307]]}
+                             for i in range(12)])
+        code, out, _ = run_cli("seq", "stabilize", "--eps-schedule",
+                               json.dumps([1e308] * 7), blocks)
+        assert code == 0
+        levels = json.loads(out)["levels"]
+        assert [lv["level"] for lv in levels] == list(range(1, 8))
+        assert [lv["growth_check_l1"] for lv in levels] == [None] + [False] * 6
+
 
 class TestAuditCommands:
     def test_ineq_expected_outcome(self):
@@ -357,7 +369,9 @@ class TestInputErrors:
         # the first level's 8 blocks and its flat average y, at eps 0.5
         (("seq", "select", "--budget", "2", "--eps-schedule", "[0.5, 1e-4]"), 9),
         (("seq", "l1", "--m", "2", "--n", "100000"), 0),
-    ], ids=["select-40000-blocks", "select-second-level", "l1-long-blocks"])
+        (("seq", "l1", "--m", "100000", "--n", "1"), 0),
+    ], ids=["select-40000-blocks", "select-second-level", "l1-long-blocks",
+            "l1-many-blocks"])
     def test_guard_refuses_before_blocks_are_built_exit_3(self, monkeypatch, argv, before):
         # the check later norms would run refuses before any block is
         # built, which once took seconds, or forever at eps 1e-300

@@ -1391,6 +1391,33 @@ class TestPartCountCapWork:
             assert peak(lambda: _width_fill(engine._padded(rows, 128), system)) <= full
 
 
+class TestStepBudget:
+    """``DP_BATCH`` only groups the terms of an exact max into steps, so a
+    budget small enough that ``_fill_band`` splits the starts and the
+    first parts of nearly every length into many chunks gives N, kind and
+    every S array of a fill at the default budget, bit for bit."""
+
+    @pytest.mark.parametrize("system", [F_SYSTEM, G_SYSTEM, SPIKE_SYSTEM],
+                             ids=lambda s: s.name)
+    def test_tiny_budget_keeps_bits(self, monkeypatch, system):
+        # batches of 1 and 3 rows take turns; a step's chunks do not
+        # depend on the batch size, which only leads every array
+        rng = np.random.default_rng(40)
+        kinds = TestPartCountCap.KINDS
+        for k, L in enumerate([1, 2, 3, 49, 50, 51, 52, *range(64, 71), 128]):
+            B = 3 if k % 2 else 1
+            pad = engine._padded([_batch_vector(rng, L, kinds[b]).values
+                                  for b in range(B)], L)
+            for K in sorted({L, system._fill_width(L)}):
+                want = engine._fill(pad, system, K)
+                with monkeypatch.context() as m:
+                    m.setattr(engine, "DP_BATCH", 40)
+                    got = engine._fill(pad, system, K)
+                assert got[0].tobytes() == want[0].tobytes(), (L, B, K)
+                assert got[1].tobytes() == want[1].tobytes(), (L, B, K)
+                assert [A.tobytes() for A in got[2]] == [A.tobytes() for A in want[2]]
+
+
 class TestNormValues:
     """``norm_values`` against the ``norm_value`` loop it replaces."""
 

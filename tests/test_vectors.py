@@ -60,6 +60,12 @@ class TestFinVector:
     def test_json_roundtrip(self, x):
         assert FinVector.from_json(x.to_jsonable()) == x
 
+    def test_l1_overflow_is_inf(self):
+        # math.fsum raises on finite terms whose sum overflows float64
+        assert FinVector.from_dense([1e308, 1e308]).l1() == math.inf
+        assert FinVector.from_dense([1e308, -1e308]).l1() == math.inf
+        assert FinVector.from_dense([0.1] * 10).l1() == 1.0    # fsum, not sum
+
 
 class TestRestrict:
     def test_interval_selection(self):
