@@ -69,9 +69,6 @@ class Tower:
             lams.append(math.inf if math.isinf(lam) else weight(lam) * lam)
         return Tower(tuple(lams), kind)
 
-    def __len__(self) -> int:
-        return len(self.lambdas)
-
 
 # ---------------------------------------------------------------------------
 # Inequality audits

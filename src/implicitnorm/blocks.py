@@ -385,11 +385,6 @@ class ProjectionOp:
     def apply(self, x: FinVector) -> FinVector:
         return BlockSequence(b for _, b in self.pairs).combine(self.coefficients(x))
 
-    def to_jsonable(self) -> dict:
-        return {"frames": [f.to_jsonable() for f in self.frames],
-                "functionals": [phi.to_jsonable() for phi, _ in self.pairs],
-                "blocks": [b.to_jsonable() for _, b in self.pairs]}
-
 
 @dataclass(frozen=True)
 class ProjectionReport:
@@ -468,6 +463,11 @@ def _summability_flag(schedule: Sequence[float]) -> bool:
     return any(b >= a for a, b in zip(weighted[half:], weighted[half + 1:]))
 
 
+def _check_schedule(eps_schedule: Sequence[float]) -> None:
+    if not all(0.0 < float(e) < math.inf for e in eps_schedule):
+        raise DomainError("eps schedule entries must be positive and finite")
+
+
 def _invert_growth(max_supp: int, eps: float) -> tuple[int, bool]:
     """Minimal k with w-growth weight(k/3) >= max_supp / eps, solved as
     k = 3 (2^t - 1) with t = max_supp / eps.
@@ -514,8 +514,7 @@ def greedy_block_select(eps_schedule: Sequence[float], budget: int, *,
         raise DomainError("budget must be >= 1")
     if len(eps_schedule) < budget:
         raise DomainError("eps schedule shorter than budget")
-    if not all(0.0 < float(e) < math.inf for e in eps_schedule):
-        raise DomainError("eps schedule entries must be positive and finite")
+    _check_schedule(eps_schedule)
     report: dict = {"levels": [],
                     "schedule_flagged_not_summable": _summability_flag(eps_schedule)}
     ks: list[int] = [1]
@@ -624,8 +623,7 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
     members that route flat or are refused split from their own windows."""
     if len(eps_schedule) == 0:
         raise DomainError("eps schedule must hold at least one entry")
-    if not all(0.0 < float(e) < math.inf for e in eps_schedule):
-        raise DomainError("eps schedule entries must be positive and finite")
+    _check_schedule(eps_schedule)
     members = list(range(len(blocks)))
     states: list[StabilizationState] = []
     chosen: list[int] = []
@@ -702,12 +700,14 @@ def tail_constant(n: int, eps_schedule: Sequence[float],
     2^(1-n) + sum_{i=n..N} eps(i).  "capped": both sums stop at the
     schedule end, sum_{i=n..N} (2^-i + eps(i)).  The printed form of this
     constant is ambiguous about scope and upper limit, so both readings
-    are exposed instead of guessing further.
+    are exposed instead of guessing further.  Entries must be positive
+    and finite; a tail whose sum overflows reads inf.
     """
     N = len(eps_schedule)
     if n < 1 or n > N:
         raise DomainError(f"level {n} outside schedule of length {N}")
-    eps_sum = math.fsum(eps_schedule[n - 1:])
+    _check_schedule(eps_schedule)
+    eps_sum = _l1_sum(eps_schedule[n - 1:])
     if interpretation == "tail":
         return 2.0 ** (1 - n) + eps_sum
     if interpretation == "capped":

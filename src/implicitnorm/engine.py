@@ -102,7 +102,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .vectors import FinVector, Functional, WitnessTree
+from .vectors import FinVector, Functional, WitnessTree, _l1_sum
 
 ENGINE_VERSION = "implicitnorm-engine-1"
 
@@ -383,9 +383,9 @@ def dp_table_bytes(L: int) -> int:
 
 
 def _check_l1(values: Sequence[float]) -> None:
-    """Refuse coefficients whose l1 norm overflows float64: the tables'
-    part sums reach it."""
-    if not math.isfinite(sum(map(abs, values))):
+    """Refuse coefficients whose l1 norm overflows float64, read as
+    ``FinVector.l1`` reads it: the tables' part sums reach it."""
+    if not math.isfinite(_l1_sum(map(abs, values))):
         raise DomainError("the l1 norm of the vector overflows float64")
 
 
@@ -515,8 +515,10 @@ def _fill_band(N_band: np.ndarray, S: list[np.ndarray], ends: list[np.ndarray],
     ``ends`` (``_by_right_end``), longest first: the group of length
     ell - 1 covers the band and writes it, a lower one the columns up to
     its longest length, which its length axis says (a narrow fill keeps
-    fewer columns).  Steps of `step` starts and `span` first parts keep
-    the sum under DP_BATCH per row."""
+    fewer columns).  A step takes every first part of one group of rests
+    and as many starts as keep the sum under DP_BATCH per row: the group's
+    first parts times its columns never exceed it (``_group`` and the
+    memory cap bound both, see TestStepBudget)."""
     G, cnt, amax = S[0].shape[1], N_band.shape[2] - ell, np.maximum.reduce
     g, u = divmod(ell - 1, G)
     r, m = ell - 1, n1 - 1      # the longest rest left; the columns it covers
@@ -525,21 +527,18 @@ def _fill_band(N_band: np.ndarray, S: list[np.ndarray], ends: list[np.ndarray],
         end, lo = ends[h], h * G + 1
         top = h * G + end.shape[-2]         # the group's longest length
         m, ka, kb = min(m, top), ell - r, ell + 1 - lo      # k of rests r..lo
-        span = min(kb - ka, max(1, DP_BATCH // m))
-        step = max(1, DP_BATCH // (span * m))
+        step = max(1, DP_BATCH // ((kb - ka) * m))
         # end[:, s0 + i, t0 + k]: the rest after a first part k at start i
-        s0, t0, first = ell - 1 - h * G, top - ell, r == ell - 1
+        s0, t0 = ell - 1 - h * G, top - ell
         for i0 in range(0, cnt, step):
             i1 = min(i0 + step, cnt)
             out = S[g][:, u, i0:i1, 1:1 + m]
-            for k in range(ka, kb, span):
-                k1 = min(k + span, kb)
-                part = N_band[:, i0:i1, k - 1:k1 - 1, None]
-                rest = end[:, s0 + i0:s0 + i1, t0 + k:t0 + k1, :m]
-                if first and k == ka:
-                    amax(part + rest, axis=2, out=out)
-                else:
-                    np.maximum(out, amax(part + rest, axis=2), out=out)
+            part = N_band[:, i0:i1, ka - 1:kb - 1, None]
+            rest = end[:, s0 + i0:s0 + i1, t0 + ka:t0 + kb, :m]
+            if r == ell - 1:
+                amax(part + rest, axis=2, out=out)
+            else:
+                np.maximum(out, amax(part + rest, axis=2), out=out)
         r = lo - 1
 
 

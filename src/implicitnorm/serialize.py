@@ -2,7 +2,9 @@
 
 Floats are printed with 17 significant digits, dictionary keys sorted,
 so identical results serialize to identical bytes regardless of cache
-state or dict construction order.
+state or dict construction order.  ``dumps`` takes plain data only:
+None, bools, strings, numbers, string-keyed dicts, lists and tuples;
+callers convert their objects with ``to_jsonable`` first.
 """
 
 from __future__ import annotations
@@ -58,10 +60,7 @@ def _emit(obj: Any, out: list[str]) -> None:
             _emit(item, out)
         out.append("]")
     else:
-        try:
-            _emit(obj.to_jsonable(), out)
-        except AttributeError:
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def csv_row(*fields: Any) -> str:

@@ -148,11 +148,6 @@ class FinVector:
     def scale(self, factor: float) -> "FinVector":
         return FinVector((i, factor * v) for i, v in self.coords)
 
-    def __mul__(self, factor: float) -> "FinVector":
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
     # -- projections and spreadings ------------------------------------------
 
     def restrict(self, region: Union["Interval", Iterable[int]]) -> "FinVector":
@@ -249,14 +244,8 @@ class OrderedPartition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def restrictions(self, x: FinVector) -> list[FinVector]:
         return [x.restrict(p) for p in self.parts]
-
-    def to_jsonable(self) -> list[list[int]]:
-        return [p.to_jsonable() for p in self.parts]
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,9 @@ class TestGreedySplit:
         with pytest.raises(DomainError):
             greedy_split(ones(2), 0.0)
 
+    def test_zero_vector_has_no_pieces(self):
+        assert greedy_split(FinVector.zero(), 0.5) == SplitProfile((), (), 0.5)
+
     @settings(max_examples=25, deadline=None)
     @given(system=st.sampled_from([F_SYSTEM, G_SYSTEM, AFFINE]),
            kind=st.sampled_from(["near_flat", "random", "quarter"]),
@@ -402,6 +405,13 @@ class TestGreedySelect:
                                              support_budget=128)
         assert not rep_good["schedule_flagged_not_summable"]
 
+    @pytest.mark.parametrize("schedule,budget,match", [
+        ([0.5], 0, "budget"), ([0.5], 2, "shorter than budget")],
+        ids=["budget-0", "schedule-short"])
+    def test_refused(self, schedule, budget, match):
+        with pytest.raises(DomainError, match=match):
+            greedy_block_select(schedule, budget)
+
     def test_growth_repr(self):
         assert growth_index_repr(7) == "7"
         assert growth_index_repr(3 * (2 ** 400 - 1)) == "3*(2^400-1)"
@@ -564,3 +574,13 @@ class TestTailConstant:
             tail_constant(4, sched)
         with pytest.raises(DomainError):
             tail_constant(1, sched, "nope")
+
+    def test_overflowing_tail_reads_inf(self):
+        assert tail_constant(1, [1e308] * 3) == math.inf
+        assert tail_constant(1, [1e308] * 3, "capped") == math.inf
+
+    @pytest.mark.parametrize("sched", [[-1.0, 0.5], [0.0, 0.5], [0.5, math.inf],
+                                       [0.5, math.nan]], ids=["negative", "zero", "inf", "nan"])
+    def test_entries_must_be_positive_and_finite(self, sched):
+        with pytest.raises(DomainError, match="eps schedule"):
+            tail_constant(1, sched)

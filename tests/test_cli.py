@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from implicitnorm import FinVector, blocks, cli, engine
+from implicitnorm import FinVector, Interval, blocks, cli, engine, serialize
 
 
 def run_cli(*argv):
@@ -293,6 +293,9 @@ class TestStdoutPins:
 
 _BLOCK = '[{"coords": [[1, 1.0]]}]'
 _HUGE_BLOCK = '[{"coords": [[1, 1e308], [2, 1e308]]}]'
+# a float sum of these stays finite; their l1 norm overflows
+_ROUNDING_OVERFLOW = ('{"dense": [5.992310449541049e+307, 5.992310449541056e+307, '
+                      '5.992310449541054e+307]}')
 
 
 class TestInputErrors:
@@ -306,8 +309,11 @@ class TestInputErrors:
         (("audit", "gnorm", "--cases", "0"), "cases"),
         (("seq", "equiv", "--coeffs", "[1]", _BLOCK, _BLOCK), "coefficient tuple"),
         (("seq", "stabilize", "--eps-schedule", '["a"]', _BLOCK), "eps schedule"),
+        (("--guard", "0", "norm", '{"dense":[1,1]}'), "support guard"),
+        (("seq", "equiv", "--coeffs", "{}", _BLOCK, _BLOCK), "coefficient tuples"),
     ], ids=["tolerance-nan", "split-eps-nan", "lemma-duo-nlen-0", "gnorm-cases-0",
-            "equiv-coeffs-not-tuples", "stabilize-schedule-not-numbers"])
+            "equiv-coeffs-not-tuples", "stabilize-schedule-not-numbers", "guard-0",
+            "equiv-coeffs-not-list"])
     def test_numeric_argument_outside_domain_exit_2(self, argv, key):
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, "")
@@ -343,6 +349,9 @@ class TestInputErrors:
         (("seq", "split", "--eps", "1e308", '{"dense":[1e308,1e308]}'), "l1 norm"),
         (("seq", "stabilize", "--eps-schedule", "[1e308]", _HUGE_BLOCK), "l1 norm"),
         (("audit", "pente", "--r", "2", "--d", "1.1", '{"dense":[1e308,1e308]}'), "l1 norm"),
+        (("norm", _ROUNDING_OVERFLOW), "l1 norm"),
+        (("norm", "--system", "g", _ROUNDING_OVERFLOW), "l1 norm"),
+        (("seq", "split", "--eps", "1e308", _ROUNDING_OVERFLOW), "l1 norm"),
         (("seq", "project", "--samples", "-5", _BLOCK), "samples"),
         (("seq", "project", "--samples", "0", _BLOCK), "samples"),
         (("audit", "gnorm", "--lmax", "-3"), "lmax"),
@@ -355,8 +364,9 @@ class TestInputErrors:
             "beta-tilde-base-below-1", "beta-tail-tol-zero", "beta-tail-tol-overflow",
             "stabilize-schedule-empty", "beta-base-weight-near-1", "norm-l1-overflow-2",
             "norm-l1-overflow-3", "equiv-l1-overflow", "split-l1-overflow",
-            "stabilize-l1-overflow", "pente-l1-overflow", "project-samples-negative",
-            "project-samples-0", "gnorm-lmax-negative", "gnorm-lmax-1"])
+            "stabilize-l1-overflow", "pente-l1-overflow", "norm-l1-overflow-rounding",
+            "norm-g-l1-overflow-rounding", "split-l1-overflow-rounding",
+            "project-samples-negative", "project-samples-0", "gnorm-lmax-negative", "gnorm-lmax-1"])
     def test_value_refused_where_it_enters_exit_2(self, argv, key):
         # each of these once ended in a traceback and exit 1, a wrong
         # answer, or a pass that checked nothing
@@ -506,3 +516,9 @@ class TestDeterminism:
         for args in self.BATTERY:
             code, out, _ = run_cli(*args)
             json.loads(out)     # round-trip under the published schema
+
+    def test_dumps_takes_plain_data_only(self):
+        assert serialize.dumps({"b": (1, 0.5), "a": [None, True]}) == \
+            '{"a":[null,true],"b":[1,0.5]}'
+        with pytest.raises(TypeError, match="cannot serialize Interval"):
+            serialize.dumps({"frames": [Interval(1, 2)]})

@@ -99,6 +99,10 @@ class TestBestSumAndLayers:
         assert best_sum(ones(4), 2) == pytest.approx(2 * (2 / F2), rel=1e-15)
         assert best_sum(FinVector.basis(1), 5) == 1.0
 
+    def test_zero_has_no_tables(self):
+        with pytest.raises(DomainError, match="zero vector"):
+            build_tables(FinVector.zero())
+
     def test_best_sum_at_one_is_norm(self):
         x = FinVector.from_dense([1.0, -0.5, 2.0])
         assert best_sum(x, 1) == norm_value(x)
@@ -278,6 +282,14 @@ class TestConstantFastPath:
         assert r.value == pytest.approx(0.25 * 80 / math.log2(81), rel=1e-12)
         assert r.witness.evaluate(x) == pytest.approx(r.value, rel=1e-9)
         assert sorted(r.witness.leaves()) == list(range(1, 81))
+
+    def test_sup_norm_leaf_of_a_flat_witness(self):
+        # weights near 70 cap every split below the sup norm, so the flat
+        # route's witness is a leaf at the first largest entry
+        wide = log2_affine_system("wide", 2, 2.0 ** 70, 2.0 ** 60)
+        r = norm(ones(70).scale(0.5), wide)
+        assert r.value == 0.5 and r.character == math.inf
+        assert r.witness == WitnessTree.leaf(1)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -567,15 +579,17 @@ class TestWitnessAndFunctional:
                 self._validate_tree(r.witness, system)
 
     def test_tree_json_roundtrip(self):
+        # the first vector's witness is a leaf, ones(4)'s a split
         from implicitnorm import Functional, WitnessTree
-        x = FinVector.from_dense([1.0, -0.5, 2.0, 0.25])
-        r = norm(x)
-        again = WitnessTree.from_jsonable(r.witness.to_jsonable())
-        assert again == r.witness
-        assert again.evaluate(x) == r.witness.evaluate(x)
-        phi = norming_functional(x)
-        phi2 = Functional.from_jsonable(phi.to_jsonable())
-        assert phi2 == phi and phi2.apply(x) == phi.apply(x)
+        for x in (FinVector.from_dense([1.0, -0.5, 2.0, 0.25]), ones(4)):
+            r = norm(x)
+            again = WitnessTree.from_jsonable(r.witness.to_jsonable())
+            assert again == r.witness
+            assert again.evaluate(x) == r.witness.evaluate(x)
+            phi = norming_functional(x)
+            phi2 = Functional.from_jsonable(phi.to_jsonable())
+            assert phi2 == phi and phi2.apply(x) == phi.apply(x)
+        assert not norm(ones(4)).witness.is_leaf()
 
 
 class TestSelfCheck:
@@ -1393,9 +1407,22 @@ class TestPartCountCapWork:
 
 class TestStepBudget:
     """``DP_BATCH`` only groups the terms of an exact max into steps, so a
-    budget small enough that ``_fill_band`` splits the starts and the
-    first parts of nearly every length into many chunks gives N, kind and
-    every S array of a fill at the default budget, bit for bit."""
+    budget small enough that ``_fill_band`` splits the starts of nearly
+    every length into many chunks gives N, kind and every S array of a
+    fill at the default budget, bit for bit."""
+
+    def test_one_step_takes_every_first_part(self):
+        # a step takes every first part of one group of rests: their count
+        # times the columns they fill stays within DP_BATCH for every
+        # layout the memory cap admits
+        L_max = max(L for L in range(1, 2000)
+                    if dp_table_bytes(L) <= engine.DP_MEMORY_LIMIT_BYTES)
+        assert L_max == 912
+        assert engine.S_GROUP * (L_max - 1) <= engine.DP_BATCH
+        for L in range(1, L_max + 1):
+            for K in range(1, L + 1):
+                if engine._group(L, K) == L:
+                    assert (L - 1) * (K - 1) <= engine.DP_BATCH, (L, K)
 
     @pytest.mark.parametrize("system", [F_SYSTEM, G_SYSTEM, SPIKE_SYSTEM],
                              ids=lambda s: s.name)
@@ -1514,7 +1541,12 @@ class TestL1Overflow:
 
     @pytest.mark.parametrize("x", [FinVector.from_dense([1e308, 1e308]),
                                    FinVector.from_dense([1e308, -1e308, 1e308]),
-                                   ones(70).scale(1e307)], ids=["two", "three", "flat"])
+                                   ones(70).scale(1e307),
+                                   # a float sum of these stays finite
+                                   FinVector.from_dense([5.992310449541049e+307,
+                                                         5.992310449541056e+307,
+                                                         5.992310449541054e+307])],
+                             ids=["two", "three", "flat", "rounding"])
     def test_refused(self, x):
         memo = MemoTable()
         memo.put(F_SYSTEM, tuple(map(abs, x.values)), 1.0)

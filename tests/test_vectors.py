@@ -46,6 +46,10 @@ class TestFinVector:
         assert (x - x).is_zero()
         assert x.scale(2.0).coords == ((1, 2.0), (3, 4.0))
 
+    def test_truth_is_nonzero(self):
+        assert not FinVector.zero() and not (e((1, 1.0)) - e((1, 1.0)))
+        assert e((4, -0.5))
+
     def test_json_roundtrip_forms(self):
         x = e((2, 1.5), (7, -0.25))
         assert FinVector.from_json(x.to_jsonable()) == x
