@@ -9,6 +9,7 @@ finite-family stabilization demo.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -37,6 +38,11 @@ from .vectors import FinVector, Functional, Interval, _l1_sum
 # Supports up to which ``greedy_split`` fills y's whole N table once
 # rather than reading windows of it.
 _WHOLE_TABLE_MAX = 50
+# Widest tile past it: ``greedy_split`` fills windows of at most this
+# width as one batch of tiles over the rest of y.  At 16 the near-flat
+# splits of support 58-64 at eps = 1/4 no longer tile; at 32 one batch
+# of at most ``_CUBE_BYTES`` holds only 3 tiles, against 9 at 24.
+_TILE_MAX = 24
 
 
 class NotEquivalentOnFamilyError(DomainError):
@@ -147,13 +153,17 @@ def greedy_split(y: FinVector, eps: float, system: NormSystem = F_SYSTEM, *,
     Segment norms are read from N-only interval DP tables filled by
     ``engine._n_tables``, whose N[a, b] is bitwise the norm of segment
     a..b.  Up to support 50 (``_WHOLE_TABLE_MAX``), y's whole table is
-    filled once and serves every segment.  Past it, one table over a window of y
-    serves successive pieces, and a read past its right end refills it
-    from the current piece start, twice as wide when the segment has
-    outgrown it; a whole table there costs about L^4 / 12 steps, while the
-    windows stay short.  Segments the engine routes flat (``_routes_flat``)
-    read the shared composition tables instead, as ``norm_value`` does,
-    and skip the window.  Segment norms are not written to the memo.
+    filled once and serves every segment.  Past it, tables over windows
+    of y serve successive pieces, and a read past them refills from the
+    current piece start, twice as wide when the segment has outgrown the
+    width; a whole table there costs about L^4 / 12 steps, while the
+    windows stay short.  When the singleton bound puts the first piece's
+    end within 12 positions, windows of up to 24 are filled as one batch
+    of tiles over the rest of y (``_greedy_split``).  Equal coefficient
+    tuples share one table.  Segments the engine routes flat
+    (``_routes_flat``) read the shared composition tables instead, as
+    ``norm_value`` does, and skip the window.  Segment norms are not
+    written to the memo.
     """
     return _greedy_split(y, eps, system, tol, guard)
 
@@ -163,8 +173,21 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
     """``greedy_split``, reading ``table``, y's whole N table, when given
     (``stabilize_subsequence``'s members).  Without it, once eps and y are
     accepted, y's whole table is filled when L <= ``_WHOLE_TABLE_MAX`` and
-    the interval route admits L; otherwise segments read doubling windows,
-    each checked against the guard before its fill."""
+    the interval route admits L; otherwise segments read windows, each
+    checked against the guard before its fill.
+
+    When ``_tile_width`` is nonzero (at most ``_TILE_MAX``), each refill
+    fills tiles of that width: windows from the refill's start at a stride
+    of half the width, the last ending at y's end, at most ``_CUBE_BYTES``
+    of tables in one ``_n_tables`` batch, so every segment of up to half a
+    tile plus one positions lies inside one tile.  A read that no tile
+    covers refills tiles from its start while it is that short; a longer
+    one ends the tiling.  Otherwise, and from then on, one window refills
+    at a time from the start of a read it does not cover, twice as wide
+    when the segment has outgrown it; windows start at width 1, or after
+    tiles at the power of two that ramp would have reached.  A window
+    whose coefficients equal those of a window of the last refill reuses
+    its table, and a batch fills each distinct tuple once."""
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps}")
     if y.is_zero():
@@ -178,20 +201,39 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
     L = len(coords)
     if table is None and L <= _WHOLE_TABLE_MAX:
         table = next(engine._n_tables([vabs], system, guard), (0, None))[1]
-    # window[a - w0, b - w0] = N of a..b; a whole table covers every segment
-    w0, width, window = 0, (0 if table is None else L), table
+    # tiles[k][a - starts[k], b - starts[k]] = N of a..b while starts[k] <=
+    # a <= b < starts[k] + width: the windows of the last refill
+    if table is None:
+        starts, tiles, width = [], [], _tile_width(vabs, eps, system, tol)
+    else:       # a whole table covers every segment
+        starts, tiles, width = [0], [table], L
+    tiled, tables = table is None and width > 0, {}
 
     def seg_norm(a: int, b: int) -> float:
-        nonlocal w0, width, window
+        nonlocal starts, tiles, width, tiled, tables
         if _routes_flat(vabs[a:b + 1]):
             return constant_vector_norm(system, b - a + 1, vabs[a], guard=guard)
-        if b >= w0 + width:
-            if b - a >= width:
+        k = bisect.bisect_right(starts, a) - 1
+        if k < 0 or b >= starts[k] + width:
+            if tiled and b - a > width // 2:
+                # longer than tiles serve: single windows, as wide as the
+                # ramp from width 1 would be by now
+                tiled, width = False, 1 << (b - a).bit_length()
+            elif b - a >= width:
                 width = max(2 * width, b - a + 1)
-            w0, width = a, min(width, L - a)
+            width = min(width, L - a)
             engine._check_resources(width, guard, flat=False)
-            window = next(engine._n_tables([vabs[a:a + width]], system, guard))[1]
-        return float(window[a - w0, b - w0])
+            starts = [a]
+            if tiled:
+                count = engine._CUBE_BYTES // engine.dp_table_bytes(width)
+                starts = list(range(a, L - width, max(1, width // 2)))[:count]
+                starts += [L - width] * (len(starts) < count)
+            keys = [vabs[s:s + width] for s in starts]
+            tables = {key: tables[key] for key in keys if key in tables}
+            rows = [key for key in dict.fromkeys(keys) if key not in tables]
+            tables.update((rows[i], N) for i, N in engine._n_tables(rows, system, guard))
+            tiles, k = [tables[key] for key in keys], 0
+        return float(tiles[k][a - starts[k], b - starts[k]])
 
     pieces: list[FinVector] = []
     norms: list[float] = []
@@ -207,6 +249,20 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
         norms.append(nv)
         p = e + 1
     return SplitProfile(tuple(pieces), tuple(norms), eps)
+
+
+def _tile_width(vabs: tuple[float, ...], eps: float, system: NormSystem, tol: float) -> int:
+    """Twice the length of the first segment from position 0 whose
+    singleton bound, max(sup, l1 / w(len)) with the l1 term for len >=
+    min_parts, exceeds eps (1 + tol), when that length is at most
+    ``_TILE_MAX`` / 2; else 0.  N is at least the bound, so the piece from
+    position 0 ends before that segment."""
+    top = l1 = 0.0
+    for n, v in enumerate(vabs[:_TILE_MAX // 2], 1):
+        top, l1 = max(top, v), l1 + v
+        if max(top, l1 / system.weight(n) if n >= system.min_parts else 0.0) > eps * (1 + tol):
+            return 2 * n
+    return 0
 
 
 def split_count_bounds(eps: float, system: NormSystem = F_SYSTEM) -> tuple[int, int]:
@@ -620,7 +676,8 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
     the per-level states; stops early with what it has when the family
     thins out.  Later pools are subsets of the first, whose members' whole
     N tables are filled once (``engine._n_tables``) for every split to read;
-    members that route flat or are refused split from their own windows."""
+    members that route flat or are refused split from their own windows,
+    tiles included, as ``greedy_split`` does."""
     if len(eps_schedule) == 0:
         raise DomainError("eps schedule must hold at least one entry")
     _check_schedule(eps_schedule)

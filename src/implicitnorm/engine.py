@@ -73,7 +73,9 @@ fills nothing before it accepts its input, and every table it reads is
 an N-only ``_n_tables`` fill: one whole table per vector up to support
 50 and per ``stabilize_subsequence`` member; larger vectors, and members
 that route flat or are refused, split from their own windows, each
-checked by ``_check_resources`` first.
+checked by ``_check_resources`` first.  Windows of up to 24 positions
+are filled as one batch of tiles over the rest of the vector, at most
+``_CUBE_BYTES`` of tables, and equal coefficient tuples share a table.
 Every weight these kernels divide by is a slice of one array per system,
 ``NormSystem.weight_table``, grown on demand.
 

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +46,36 @@ def assert_split_is_linear_scan(y, eps, system=F_SYSTEM):
 
 
 AFFINE = log2_affine_system("affine", 2, 1.5, 0.75)
+
+
+def split_case(kind, L, system, eps):
+    """A seeded vector of one kind and support L, scaled to norm one or
+    to sup norm eps, whichever is smaller."""
+    rng = np.random.default_rng(L)
+    vals = {"random": rng.uniform(-1.0, 1.0, L),
+            "sparse": np.where(rng.random(L) < 0.1, rng.uniform(0.5, 1.0, L),
+                               rng.uniform(1e-4, 1e-2, L)),
+            "near_flat": 1.0 + rng.uniform(-0.1, 0.1, L)}[kind]
+    x = FinVector.from_dense([float(v) for v in vals])
+    return x.scale(min(1.0 / norm_value(x, system, memo=None), eps / x.linf()))
+
+
+# name: (the vector, built when read; eps; system)
+FIXED_SPLITS = {
+    "ones8": (lambda: normalized(ones(8)), 0.5, F_SYSTEM),    # criterion 09's pairs
+    "flat300": (lambda: normalized(ones(300)), 0.25, F_SYSTEM),  # one refill per piece
+    # flat-route reads up to 70 ones, then a read with the 0.5 that
+    # jumps past the window's right end
+    "flat-dip-flat": (lambda: FinVector.from_dense([1.0] * 70 + [0.5] + [1.0] * 90)
+                      .scale(1 / 12), 1.0, F_SYSTEM),
+}
+# at support 120, eps = 1/8 gives the near-flat and random F splits tiles
+# (the random one outgrows its tiles of 6 and goes on with single
+# windows), every other case a ramp of windows from width 1
+FIXED_SPLITS.update({f"{kind}120-{system.name}-{eps}":
+                     (functools.partial(split_case, kind, 120, system, eps), eps, system)
+                     for kind in ("random", "sparse", "near_flat")
+                     for system in (F_SYSTEM, G_SYSTEM) for eps in (0.125, 0.25)})
 
 
 class TestGreedySplit:
@@ -108,15 +140,10 @@ class TestGreedySplit:
         y = x.scale(min(1.0 / norm_value(x, system, memo=None), eps / x.linf()))
         assert_split_is_linear_scan(y, eps, system)
 
-    @pytest.mark.parametrize("y,eps", [
-        (normalized(ones(8)), 0.5),           # criterion 09's boundary pairs
-        (normalized(ones(300)), 0.25),        # one window shift per piece
-        # flat-route reads up to 70 ones, then a read with the 0.5 that
-        # jumps past the window's right end
-        (FinVector.from_dense([1.0] * 70 + [0.5] + [1.0] * 90).scale(1 / 12), 1.0),
-    ], ids=["ones8", "flat300", "flat-dip-flat"])
-    def test_fixed_cases_match_linear_scan(self, y, eps):
-        assert_split_is_linear_scan(y, eps)
+    @pytest.mark.parametrize("name", sorted(FIXED_SPLITS))
+    def test_fixed_cases_match_linear_scan(self, name):
+        make, eps, system = FIXED_SPLITS[name]
+        assert_split_is_linear_scan(make(), eps, system)
 
     def test_fewer_tables_and_no_memo_writes(self, monkeypatch):
         rng = np.random.default_rng(64)
@@ -134,8 +161,8 @@ class TestGreedySplit:
     @pytest.mark.parametrize("system", [F_SYSTEM, G_SYSTEM], ids=lambda s: s.name)
     @pytest.mark.parametrize("L", [1, 2, 17, 49, 50, 51])
     def test_whole_table_up_to_support_50(self, monkeypatch, L, system):
-        # one fill of y's whole N table up to support 50, doubling
-        # windows past it; either way the window path's split,
+        # one fill of y's whole N table up to support 50, windows past
+        # it; either way the window path's split,
         # and never a table with S planes
         rng = np.random.default_rng(L)
         for x in (FinVector.from_dense(list(rng.uniform(0.05, 1.0, L))),
@@ -153,8 +180,9 @@ class TestGreedySplit:
                 assert builds == []
                 if L <= 50:
                     assert len(fills) == 1
-                else:
-                    assert len(fills) > 1
+                else:   # tiles as wide as the singleton bound says, or a ramp from 1
+                    assert fills[0][0].shape[1] == 2 * (blocks._tile_width(
+                        tuple(map(abs, y.values)), eps, system, engine.DEFAULT_TOLERANCE) or 1)
                 # no support takes a whole table now, so every split windows
                 monkeypatch.setattr(blocks, "_WHOLE_TABLE_MAX", 0)
                 window = blocks._greedy_split(y, eps, system, engine.DEFAULT_TOLERANCE,
@@ -163,6 +191,67 @@ class TestGreedySplit:
                 assert prof == window
                 assert np.array(prof.piece_norms).tobytes() == \
                     np.array(window.piece_norms).tobytes()
+
+    @pytest.mark.parametrize("L", range(52, 65))
+    def test_near_flat_long_split_is_one_tile_fill(self, monkeypatch, L):
+        # block_pipeline's splits past support 50: the singleton bound
+        # sizes tiles that serve every read, so one batch fills them all
+        rng = np.random.default_rng(L)
+        y = normalized(FinVector.from_dense(list(1.0 + rng.uniform(-0.1, 0.1, L))))
+        fills = []
+        fill = engine._fill
+        monkeypatch.setattr(engine, "_fill", lambda *a: fills.append(a) or fill(*a))
+        prof = greedy_split(y, 0.25)
+        monkeypatch.undo()
+        assert len(fills) == 1
+        pad = fills[0][0]
+        assert pad.shape[0] > 1 and pad.shape[1] <= 2 * blocks._TILE_MAX
+        monkeypatch.setattr(blocks, "_WHOLE_TABLE_MAX", L)
+        whole = greedy_split(y, 0.25)
+        assert prof == whole
+        assert np.array(prof.piece_norms).tobytes() == np.array(whole.piece_norms).tobytes()
+
+    def test_flat_run_reuses_equal_windows(self, monkeypatch):
+        # every piece of the flat300 case refills a window of 64 equal
+        # coefficients, which reuses the one filled first: the ramp
+        # 1..64 and the last piece's shorter window, 8 fills, where one
+        # fill per refill took 12
+        make, eps, system = FIXED_SPLITS["flat300"]
+        y = make()
+        fills = []
+        fill = engine._fill
+        monkeypatch.setattr(engine, "_fill", lambda *a: fills.append(a) or fill(*a))
+        prof = greedy_split(y, eps, system)
+        assert [pad.shape for pad, *_ in fills] == \
+            [(1, 2 * w) for w in (1, 2, 4, 8, 16, 32, 64, 40)]
+        assert prof.count == 6
+        # the seven tiles of 16 over 60 equal coefficients (too few to
+        # route flat) are one tuple, so their batch fills one row
+        fills.clear()
+        assert greedy_split(FinVector.from_dense([0.1] * 60), 0.25).count == 9
+        assert [pad.shape for pad, *_ in fills] == [(1, 32)]
+
+    def test_tile_batch_holds_at_most_a_cube_of_tables(self, monkeypatch):
+        # 1000 near-flat coordinates of about 0.1 split at eps = 1/4 into
+        # pieces of up to 8, so tiles of 16 serve the whole split: one
+        # batch of all 124 would hold 4.4 MB of tables, the cap admits 29
+        rng = np.random.default_rng(1)
+        y = FinVector.from_dense(list(0.1 * (1.0 + rng.uniform(-0.1, 0.1, 1000))))
+        fills = []
+        fill = engine._fill
+        monkeypatch.setattr(engine, "_fill", lambda *a: fills.append(a) or fill(*a))
+        tracemalloc.start()
+        try:
+            prof = greedy_split(y, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert peak < 2 * engine._CUBE_BYTES       # 5.2 MB without the cap
+        assert {pad.shape[1] for pad, *_ in fills} == {32}
+        assert max(pad.shape[0] for pad, *_ in fills) == \
+            engine._CUBE_BYTES // engine.dp_table_bytes(16)
+        assert prof.reconstruct() == y
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, 0.05])
     def test_refused_split_fills_nothing(self, monkeypatch, eps):
