@@ -60,10 +60,13 @@ fill.
 ``_plan`` is the one route decision of every reader: bitwise-constant
 vectors take a composition DP over lengths instead, which reaches the
 support guard (4096).  It fills each length only with the part counts
-that can still decide the norm, and readers add more on demand
-(``_ConstTables``).  Both routes' tables answer ``value()``,
-``layer_sums(k)`` and ``witness()``; ``norm`` scans character layers up
-to the winning part count before it scans them all.  Both routes record
+that can still decide the norm: the singleton composition's sum is
+stored without its row, and a concave-majorant bound rules out the
+rest, so under F two part counts decide every length.  Readers add more
+on demand (``_ConstTables``).  Both routes' tables answer ``value()``,
+``layer_sums(k)``, ``layer_bounds()`` and ``witness()``; ``norm``'s
+character scan passes over the layers whose bound misses the value and
+raises the rows of the first layer it cannot decide.  Both routes record
 each interval's winning part count as they fill, so one walk,
 ``_witness``, reads the witness from either route's tables.  ``_plan``
 runs the one guard and memory check, ``_check_resources``, before any
@@ -338,6 +341,11 @@ class IntervalTables:
         best sum over at most k parts, for the first k (all when None)."""
         return np.maximum.accumulate(self.sums(0, self.size - 1)[:k])
 
+    def layer_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """``layer_sums()`` twice: every layer is exact here."""
+        sums = self.layer_sums()
+        return sums, sums
+
     def witness(self) -> WitnessTree:
         return _witness(self, 0, self.size - 1)
 
@@ -600,12 +608,15 @@ class _ConstTables:
         nu[len]    norm of the unit constant vector of that length
         kind[len]  its winning part count, 0 when the sup norm wins
         T[n, len]  best sum of piece norms over compositions of len
-                   into exactly n parts, for n = 1..rows[len].
+                   into exactly n parts, for n = 1..rows[len] and for
+                   the singleton composition n = len.
 
     New lengths get part counts up to ``row_cap``, which doubles while
     the missing ones of some length could still win (``_band``); readers
-    raise one length's rows through ``ensure``.  Rows past ``rows[len]``
-    hold -inf and are never read.
+    raise one length's rows through ``ensure``.  The other rows past
+    ``rows[len]`` hold -inf; the stop test and ``_FlatTables.layer_bounds``
+    bound them by the least concave majorant of nu (``_bound``), an upper
+    hull whose vertices ``hx``/``hy`` take one point as each length gets nu.
     """
 
     def __init__(self, system: NormSystem):
@@ -621,6 +632,7 @@ class _ConstTables:
         Tl = np.full((2, 2), -np.inf)
         Tl[1, 1] = 1.0
         self.T = Tl.T
+        self.hx, self.hy, self.hull = np.ones(2), np.ones(2), 1
 
     def _grow(self, L: int) -> None:
         cap = self.T.shape[0] - 1
@@ -631,11 +643,10 @@ class _ConstTables:
         new_cap = max(L, min(2 * cap, math.isqrt(DP_MEMORY_LIMIT_BYTES // 8) - 1))
         Tl = np.full((new_cap + 1, new_cap + 1), -np.inf)
         Tl[: cap + 1, : cap + 1] = self.T.T
-        nu = np.zeros(new_cap + 1)
-        nu[: cap + 1] = self.nu
-        kind = np.zeros(new_cap + 1, dtype=np.int64)
-        kind[: cap + 1] = self.kind
-        self.T, self.nu, self.kind = Tl.T, nu, kind
+        self.T = Tl.T
+        self.nu, self.kind, self.hx, self.hy = (
+            np.concatenate((a, np.zeros(new_cap - cap, dtype=a.dtype)))
+            for a in (self.nu, self.kind, self.hx, self.hy))
         self.rows += [1] * (new_cap - cap)
 
     def ensure(self, L: int, k: int = 1) -> None:
@@ -650,6 +661,27 @@ class _ConstTables:
         if self.rows[L] < min(k, L):
             self._band(L, min(L, max(k, 2 * self.rows[L])))
 
+    def _bound(self, ln: int, n: np.ndarray) -> np.ndarray:
+        """Upper bounds on T[n, ln] for part counts 2 <= n < ln, ln <= filled + 1.
+
+        The pieces of an n-part composition of ln are lengths 1..filled
+        of mean ln / n, and their norms lie under the least concave
+        majorant g of nu[1..filled], so by Jensen's inequality they sum to
+        at most n g(ln / n).  The DP's float sums exceed the exact ones by
+        at most (n - 1) 2^-53 relative; the margin 1e-9 covers that, the
+        rounding of the hull's vertex tests and that of ``np.interp``."""
+        h = self.hull
+        return n * np.interp(ln / n, self.hx[:h], self.hy[:h]) * (1 + 1e-9)
+
+    def _push(self, ln: int) -> None:
+        """Add (ln, nu[ln]) to the upper hull of nu, ln = filled: pop the
+        vertices on or under the chord from their left neighbour to it."""
+        hx, hy, h, y = self.hx, self.hy, self.hull, self.nu[ln]
+        while h > 1 and ((hy[h - 1] - hy[h - 2]) * (ln - hx[h - 2])
+                         <= (y - hy[h - 2]) * (hx[h - 1] - hx[h - 2])):
+            h -= 1
+        hx[h], hy[h], self.hull = ln, y, h + 1
+
     def _band(self, L: int, cap: int) -> None:
         """The one fill kernel.  Lengths 2..L, in order, get the part
         counts n = rows[len] + 1..min(len, cap); a length past ``filled``
@@ -658,13 +690,19 @@ class _ConstTables:
 
         T[n, len] is the max over first pieces p of nu[p] + T[n - 1, len - p].
         A remainder of len - p coordinates holds at most len - p parts, so
-        piece p reads part counts up to len - p + 1 only.  In floats
-        T[n, len] <= len (nu[p] <= p, the pieces sum to len, and rounding
-        is monotone), so once len over the smallest weight of the missing
-        part counts falls below the incumbent max(1, q), none of them can
+        piece p reads part counts up to len - p + 1 only.  Two facts stand
+        in for the part counts a length lacks.  The singleton composition
+        has the one term nu[1] + T[len - 1, len - 1], which sums to len
+        exactly, so T[len, len] is stored without its row.  Every other
+        missing count n is bounded by ``_bound``; once that bound over
+        w(n) falls below the incumbent max(1, q) for each of them, none can
         win or tie: nu and kind are those of a fill of every part count.
-        The bound needs every weight read to exceed 1, which ``NormSystem``
-        does not check, so a system that breaks it fills every part count.
+        The test divides bounds by weights, so it runs only while every
+        weight read exceeds 1, as the grouping bound's does
+        (``NormSystem._fill_width``); ``NormSystem`` does not check that,
+        and a system that breaks it fills every part count.  Under F the
+        singleton wins at every length and two part counts decide it; G
+        needs four.
         """
         nu, kind, Tl, rows = self.nu, self.kind, self.T.T, self.rows
         wv = self.system.weight_table(L)
@@ -685,14 +723,20 @@ class _ConstTables:
             if ln <= self.filled:
                 continue
             r = rows[ln]
-            q = Tl[ln, 2:r + 1] / wv[2:r + 1]
+            if r < ln:
+                if not sound:
+                    return
+                Tl[ln, ln] = nu[1] + Tl[ln - 1, ln - 1]
+            q = Tl[ln, 2:ln + 1] / wv[2:ln + 1]     # -inf at the missing counts
             a = int(np.argmax(q))
             best = max(1.0, float(q[a]))
-            if r < ln and not (sound and ln / wv[r + 1:ln + 1].min() < best):
+            if r < ln - 1 and not (self._bound(ln, np.arange(r + 1, ln))
+                                   / wv[r + 1:ln]).max() < best:
                 return
             kind[ln] = a + 2 if q[a] > 1.0 else 0
             nu[ln] = Tl[ln, 1] = best
             self.filled = ln
+            self._push(ln)
 
 
 _CONST_TABLES: dict[NormSystem, _ConstTables] = {}
@@ -720,6 +764,18 @@ class _FlatTables:
         k = L if k is None else min(k, L)
         self.tab.ensure(L, k)
         return np.maximum.accumulate(self.tab.T[1:k + 1, L])
+
+    def layer_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every layer's sum as far as the filled rows (the singleton's
+        included) give it, and an upper bound on it, where each part count
+        the length lacks reads its bound (``_ConstTables._bound``).  An
+        entry is exact where the two agree; fills nothing."""
+        L, tab = len(self.indices), self.tab
+        col = tab.T[1:L + 1, L]
+        upper = col.copy()
+        r = tab.rows[L]
+        upper[r:L - 1] = tab._bound(L, np.arange(r + 1, L))
+        return np.maximum.accumulate(col), np.maximum.accumulate(upper)
 
     def witness(self) -> WitnessTree:
         return _witness(self, 0, len(self.indices) - 1)
@@ -858,14 +914,22 @@ def norm(x: FinVector, system: NormSystem = F_SYSTEM, *,
     if not abs(check - value) <= WITNESS_CHECK_RTOL * value:
         raise EngineCheckError(
             f"witness evaluates to {check!r} but the norm is {value!r}")
-    # the layer at the winning part count is a hit but for rounding, so
-    # scan up to it first; a sup-norm win, or a miss there, scans them all
-    lo, linf, won = max(2, system.min_parts), max(vabs), tables._parts(0, L - 1)
-    sums = tables.layer_sums(max(lo, won) if won else None)
-    char, tie = _character_scan(value, linf, c, sums, system, lo, tol)
-    if math.isinf(char) and len(sums) < L:
-        char, tie = _character_scan(value, linf, c, tables.layer_sums(), system, lo, tol)
-    return NormResult(value, witness, char, tie, system.name)
+    # A layer whose sum is only bounded is open unless the bound is below
+    # the value and misses it (a smaller sum then misses too).  The layers
+    # before the first open one are exact or miss, so they scan as bounded;
+    # with no hit there, the open layer's rows are raised and it goes again.
+    lo, linf = max(2, system.min_parts), max(vabs)
+    w = _weights(system, lo, L)
+    while True:
+        sums, upper = tables.layer_bounds()
+        u = c * upper[lo - 1:] / w
+        opened = np.flatnonzero((sums[lo - 1:] != upper[lo - 1:])
+                                & ((u >= value) | _close(value, u, tol)))
+        k = lo - 1 + int(opened[0]) if opened.size else L
+        char, tie = _character_scan(value, linf, c, upper[:k], system, lo, tol)
+        if not (math.isinf(char) and opened.size):
+            return NormResult(value, witness, char, tie, system.name)
+        tables.layer_sums(k + 1)
 
 
 def norm_value(x: FinVector, system: NormSystem = F_SYSTEM, *,

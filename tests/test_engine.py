@@ -347,23 +347,25 @@ def _const_reference(system, L):
     return _CONST_REFERENCE[key]
 
 
-def _assert_const_matches_reference(system):
-    """nu and kind of every filled length, and every part count the
-    per-length row count says is filled, bitwise the reference's; the
-    rows past that count hold -inf."""
+def _assert_const_matches_reference(system, L=1016):
+    """nu and kind of every filled length, every part count the
+    per-length row count says is filled and the singleton row n = len,
+    bitwise the reference's; the other rows past that count hold -inf."""
     tab = engine._CONST_TABLES[system]
-    nu, kind, Tl = _const_reference(system, 1016)
+    nu, kind, Tl = _const_reference(system, L)
     top = tab.filled + 1
     assert tab.nu[:top].tobytes() == nu[:top].tobytes()
     assert tab.kind[:top].tobytes() == kind[:top].tobytes()
     for ln in range(1, top):
         r = tab.rows[ln]
         assert tab.T[1:r + 1, ln].tobytes() == Tl[ln, 1:r + 1].tobytes(), ln
-        assert np.all(tab.T[r + 1:, ln] == -np.inf), ln
+        assert tab.T[ln, ln].tobytes() == Tl[ln, ln].tobytes(), ln
+        col = tab.T[r + 1:, ln]
+        assert np.all((col == -np.inf) | (np.arange(r + 1, len(col) + r + 1) == ln)), ln
 
 
-def _reference_layer_sums(system, L):
-    return np.maximum.accumulate(_const_reference(system, 1016)[2][L, 1:L + 1])
+def _reference_layer_sums(system, L, top=1016):
+    return np.maximum.accumulate(_const_reference(system, top)[2][L, 1:L + 1])
 
 
 @pytest.fixture
@@ -447,10 +449,53 @@ class TestCompositionBand:
         assert engine._CONST_TABLES[G_SYSTEM].rows[1016] < 1016
         _assert_const_matches_reference(G_SYSTEM)
 
+    @pytest.mark.parametrize("system", [F_SYSTEM, H_SYSTEM], ids=lambda s: s.name)
+    def test_f_fill_stops_short_of_full_rows(self, system):
+        # the singleton row is stored and the hull bound rules out every
+        # other missing count, so two part counts decide each length
+        r = norm(ones(1016), system)
+        tab = engine._CONST_TABLES[system]
+        assert tab.kind[1016] == 1016 and r.character == 1016
+        assert max(tab.rows[2:1017]) == 2
+        _assert_const_matches_reference(system)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-9])
+    def test_bounded_character_scan_raises_no_rows(self, tol):
+        # every layer below 1016 misses by its bound and layer 1016 reads
+        # the stored singleton row, so the scan fills nothing
+        r = norm(ones(1016).scale(0.3), F_SYSTEM, tol=tol)
+        assert engine._CONST_TABLES[F_SYSTEM].rows[1016] == 2
+        assert (r.character, r.character_tie) == engine._character_scan(
+            r.value, 0.3, 0.3, _reference_layer_sums(F_SYSTEM, 1016), F_SYSTEM, 2, tol)
+
+    def test_affine_systems_match_reference(self):
+        # seeded log2(add + scale n) systems at L = 400, fresh tables for
+        # each: what the capped fill and the bounded scan read, then the
+        # raised rows, bitwise the full fill's
+        rng, L, seen = np.random.default_rng(28), 400, 0
+        while seen < 24:
+            m0, add, scale = int(rng.integers(2, 6)), rng.uniform(1, 4), rng.uniform(0.05, 3)
+            try:
+                system = log2_affine_system("affine", m0, add, scale)
+            except DomainError:         # weight(m0) not above 1
+                continue
+            seen += 1
+            engine._CONST_TABLES.clear()
+            want = _reference_layer_sums(system, L, L)
+            r = norm(ones(L), system)
+            assert (r.character, r.character_tie) == engine._character_scan(
+                r.value, 1.0, 1.0, want, system, max(2, m0), engine.DEFAULT_TOLERANCE)
+            _assert_const_matches_reference(system, L)
+            flat = engine._FlatTables(system, range(L))
+            assert flat.layer_sums(5).tobytes() == want[:5].tobytes(), (m0, add, scale)
+            assert flat.layer_sums().tobytes() == want.tobytes(), (m0, add, scale)
+            _assert_const_matches_reference(system, L)
+            del _CONST_REFERENCE[system, L]
+
     def test_weights_at_most_one_fill_every_part_count(self):
-        # a weight below 1 breaks the bound T[n, len] <= len that the
-        # dead-row test rests on, so every part count must be filled even
-        # where the later weights alone would let the test stop the fill
+        # a weight below 1 puts the system outside the stop test's gate
+        # (every weight read above 1), so every part count must be filled
+        # even where the later weights alone would let the test stop the fill
         odd = ODD_SYSTEM
         L = 120
         constant_vector_norm(odd, L, 1.0)
@@ -462,8 +507,9 @@ class TestCompositionBand:
 
 
 class TestCharacterPrefixScan:
-    """``norm`` scans layers up to the winning part count first; its
-    character and tie flag must be those of a scan over every layer."""
+    """``norm`` passes over the layers whose bound misses the value and
+    reads the others exact; its character and tie flag must be those of a
+    scan over every layer."""
 
     CASES = {
         "flat-f": (ones(70).scale(0.3), F_SYSTEM),
@@ -471,6 +517,7 @@ class TestCharacterPrefixScan:
         # at tol = 0 rounding makes the layer at the winning count miss
         "flat-g-miss": (ones(72).scale(0.3), G_SYSTEM),
         "flat-h": (ones(90), H_SYSTEM),
+        "flat-f-1016": (ones(1016).scale(0.3), F_SYSTEM),
         "random-f": (random_vector(np.random.default_rng(5), 12), F_SYSTEM),
         "random-g": (random_vector(np.random.default_rng(6), 12), G_SYSTEM),
         "sup-win": (FinVector.from_dense([3.0, 0.2, 0.2, 0.1]), F_SYSTEM),
@@ -1152,6 +1199,24 @@ class TestMemoryGuard:
             engine._check_resources(L, 4096, flat=True)
             tab.ensure(L)
             assert tab.T.nbytes <= engine.DP_MEMORY_LIMIT_BYTES
+
+    @pytest.mark.parametrize("grown_from,L", [(None, 300), (None, 1016), (None, 2000),
+                                              (300, 1016)])
+    def test_flat_route_peak_within_guard_table(self, grown_from, L):
+        # the guard counts 8 (L + 1)^2 bytes for the composition table;
+        # the fill adds a few length-L vectors (nu, kind, the hull, one
+        # length's ratios and bounds), not a step temporary of 256 KB
+        F_SYSTEM.weight_table(L)
+        tab = engine._ConstTables(F_SYSTEM)
+        if grown_from:
+            tab.ensure(grown_from)
+        tracemalloc.start()
+        try:
+            tab.ensure(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (L + 1) ** 2 + 16 * 8 * (L + 1)
 
     def test_peak_of_length_groups(self):
         # tables by length, S_GROUP = 16: about 4.1 MB of tables at L = 128
