@@ -16,7 +16,8 @@ from implicitnorm import (BlockSequence, blocks, DomainError, F_SYSTEM, FinVecto
                           split_count_bounds, stabilize_subsequence,
                           tail_constant)
 from implicitnorm.blocks import growth_index_repr
-from conftest import normalized, random_block_sequence, random_vector
+from conftest import (STABILIZE_FAMILIES, STABILIZE_SYSTEMS, normalized,
+                      random_block_sequence, random_vector)
 
 ones = lambda n: FinVector.from_dense([1.0] * n)
 
@@ -504,67 +505,6 @@ class TestGreedySelect:
     def test_growth_repr(self):
         assert growth_index_repr(7) == "7"
         assert growth_index_repr(3 * (2 ** 400 - 1)) == "3*(2^400-1)"
-
-
-def _near_flat(rng, L, start):
-    row = list(1.0 + rng.uniform(-0.1, 0.1, L))
-    return normalized(FinVector.from_dense(row, start=start))
-
-
-def _translates(row, count):
-    return BlockSequence(FinVector.from_dense(row, start=1 + len(row) * k)
-                         for k in range(count))
-
-
-def _near_flat_family(seed, count, L):
-    rng = np.random.default_rng(seed)
-    return BlockSequence(_near_flat(rng, L, 1 + L * k) for k in range(count))
-
-
-def _near_flat_g_family(seed, count, L):
-    """Near-flat members normalised under G: past the first part-count
-    cap, so their member tables come from the capped fill."""
-    rng = np.random.default_rng(seed)
-    return BlockSequence(
-        normalized(FinVector.from_dense(list(1.0 + rng.uniform(-0.3, 0.3, L)),
-                                        start=1 + L * k), G_SYSTEM)
-        for k in range(count))
-
-
-def _above_guard():
-    """Four translates of one normalized near-flat block of support 16,
-    which the guard of 20 admits, and two blocks of support 24 with norm
-    1.5, which it refuses and whose piece count sets them apart."""
-    rng = np.random.default_rng(0)
-    short = list(_near_flat(rng, 16, 1).values)
-    out, start = [], 1
-    for L in (16, 24, 16, 24, 16, 16):
-        out.append(FinVector.from_dense(short, start=start) if L == 16
-                   else _near_flat(rng, 24, start).scale(1.5))
-        start += L
-    return BlockSequence(out)
-
-
-# name -> (family, schedule, guard, levels reached, support sizes whose
-# splits read the member's whole N table)
-STABILIZE_FAMILIES = {
-    # the benchmark's stabilize make-up: six near-flat blocks of support 24
-    "block-pipeline": lambda: (
-        _near_flat_family(24, 6, 24), [1.0, 0.5], engine.DEFAULT_SUPPORT_GUARD, 2, {24}),
-    "flat-dip-flat-161": lambda: (
-        BlockSequence(normalized(y)
-                      for y in _translates([1.0] * 70 + [0.5] + [1.0] * 90, 3)),
-        [1.0, 0.5, 0.25], engine.DEFAULT_SUPPORT_GUARD, 3, {161}),
-    # routes flat as a whole, and the interval route refuses 800
-    "flat-800": lambda: (
-        BlockSequence(normalized(y) for y in _translates([1.0] * 800, 2)),
-        [1.0, 0.5], engine.DEFAULT_SUPPORT_GUARD, 2, set()),
-    "above-guard": lambda: (_above_guard(), [0.6, 0.6, 0.58], 20, 3, {16}),
-    "near-flat-g-40": lambda: (
-        _near_flat_g_family(7, 6, 40), [1.0, 0.5, 0.25], engine.DEFAULT_SUPPORT_GUARD, 3, {40}),
-}
-# the families stabilized under a system other than F
-STABILIZE_SYSTEMS = {"near-flat-g-40": G_SYSTEM}
 
 
 class TestStabilize:

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from implicitnorm import (DomainError, EngineCheckError, F_SYSTEM, G_SYSTEM,
-                          FinVector, MemoTable, SupportGuardError, WitnessTree,
-                          best_sum, brute_norm, build_tables, character,
-                          constant_best_sum, constant_vector_norm, engine,
-                          layer_norm, log2_affine_system, norm, norm_value,
+from implicitnorm import (BlockSequence, DomainError, EngineCheckError, F_SYSTEM,
+                          G_SYSTEM, FinVector, MemoTable, SupportGuardError,
+                          WitnessTree, best_sum, brute_norm, build_tables,
+                          character, constant_best_sum, constant_vector_norm,
+                          engine, layer_norm, log2_affine_system, norm, norm_value,
                           norm_values, norming_functional, refinement_margin,
-                          tail_layer_norm)
+                          stabilize_subsequence, tail_layer_norm)
 from implicitnorm.engine import dp_table_bytes
-from conftest import first_over_cap, random_vector
+from conftest import (STABILIZE_FAMILIES, STABILIZE_SYSTEMS, first_over_cap, normalized,
+                      random_vector)
 
 F2 = math.log2(3.0)     # weight of a 2-part split
 ones = lambda n: FinVector.from_dense([1.0] * n)
@@ -782,6 +783,45 @@ def _golden_n_only_digest(system, xs):
     return h.hexdigest()
 
 
+def _stabilize_cases(name):
+    """(family, schedule, system, guard) tuples: every STABILIZE_FAMILIES
+    entry, or seeded near-flat families under system ``name``: shapes 6x24,
+    8x30, 5x40 and 4x80, each plain, with member 1 bitwise flat (at
+    support 80 it routes flat as a whole and splits into short pieces)
+    and, at 80, with a flat run of 70 opening every other member."""
+    if name == "families":
+        return [(fam, schedule, STABILIZE_SYSTEMS.get(key, F_SYSTEM), guard)
+                for key, (fam, schedule, guard, _, _) in
+                ((key, STABILIZE_FAMILIES[key]()) for key in sorted(STABILIZE_FAMILIES))]
+    system, cases = engine.get_system(name), []
+    for count, L in ((6, 24), (8, 30), (5, 40), (4, 80)):
+        for kind in ("plain", "flat-member", "flat-run")[:2 + (L >= 80)]:
+            for seed in (1, 2):
+                rng = np.random.default_rng(seed)
+                rows = [list(1.0 + rng.uniform(-0.1, 0.1, L)) for _ in range(count)]
+                if kind == "flat-member":
+                    rows[1] = [1.0] * L
+                elif kind == "flat-run":
+                    for row in rows[::2]:
+                        row[:70] = [1.0] * 70
+                fam = BlockSequence(normalized(FinVector.from_dense(row, start=1 + L * k), system)
+                                    for k, row in enumerate(rows))
+                cases.append((fam, [1.0, 0.5, 0.25], system, engine.DEFAULT_SUPPORT_GUARD))
+    return cases
+
+
+def _golden_stabilize_digest(cases):
+    """Digest of stabilize_subsequence outputs: the chosen indices, every
+    state's JSON form and the piece norms of its profiles."""
+    h = hashlib.blake2b(digest_size=16)
+    for fam, schedule, system, guard in cases:
+        chosen, states = stabilize_subsequence(fam, schedule, system=system, guard=guard)
+        h.update(json.dumps([chosen, [st.to_jsonable() for st in states],
+                             [[st.profiles[i].piece_norms for i in sorted(st.profiles)]
+                              for st in states]]).encode())
+    return h.hexdigest()
+
+
 # scans of the spiked row run far past every part count the other rows need
 SPIKE_SYSTEM = log2_affine_system("h", 2, 1.5, 0.7)
 
@@ -1138,6 +1178,16 @@ class TestGoldenDigests:
         xs = [_golden_vector(L, 4000 + L, rounded)
               for L in (64, 70) for rounded in (False, True)] + [ones(70)]
         assert _golden_refinement_digest(system, xs) == self.REFINEMENT_LARGE[name]
+
+    # recorded from the stabilize agreement step that normed every
+    # combination of pieces through equivalence_constant
+    STABILIZE = {"families": "dabadc170f7c8da1432312ae2c844cca",
+                 "f": "3b054f55540e627faab2b23ccc854c29",
+                 "g": "45d30d96293393717858b63f3adb25a9"}
+
+    @pytest.mark.parametrize("name", sorted(STABILIZE))
+    def test_stabilize(self, name):
+        assert _golden_stabilize_digest(_stabilize_cases(name)) == self.STABILIZE[name]
 
 
 class TestMemoryGuard:
