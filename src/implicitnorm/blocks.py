@@ -10,6 +10,7 @@ finite-family stabilization demo.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -389,8 +390,16 @@ def equivalence_constant(xs: BlockSequence, ys: BlockSequence,
     tups = list(coeffs)
     values = norm_values([xs.combine(tup) for tup in tups]
                          + [ys.combine(tup) for tup in tups], system, guard=guard)
+    return _worst_ratio(tups, values, values[len(tups):])
+
+
+def _worst_ratio(family: Sequence, xnorms: Sequence[float], ynorms: Sequence[float]) -> float:
+    """Largest of 1, nx / ny and ny / nx over the norms each tuple of
+    ``family`` gives the two sequences.  A tuple with both norms zero is
+    skipped, one with exactly one zero is refused, and so is a family
+    whose every tuple gives zeros."""
     worst = None
-    for tup, nx, ny in zip(tups, values, values[len(tups):]):
+    for tup, nx, ny in zip(family, xnorms, ynorms):
         if (nx == 0.0) != (ny == 0.0):
             raise NotEquivalentOnFamilyError(
                 f"not equivalent on family: tuple {tuple(tup)} gives norms "
@@ -654,13 +663,34 @@ class StabilizationState:
                 "agreement_ok": self.agreement_ok}
 
 
-def _agreement_family(p: int, cap: int = 8) -> list[tuple[float, ...]]:
-    fam: list[tuple[float, ...]] = [(1.0,) * p]
-    for i in range(min(p, cap)):
-        fam.append(tuple(1.0 if j == i else 0.0 for j in range(p)))
-    if p >= 2:
-        fam.append(tuple(1.0 if j < (p + 1) // 2 else 0.0 for j in range(p)))
-    return fam
+def _agreement_family(p: int) -> list[tuple[int, int]]:
+    """The agreement step's 0/1 coefficient tuples on p pieces, each as the
+    run [lo, hi) of pieces it sets to 1: all pieces, each of the first 8
+    alone, and the first half."""
+    return [(0, p)] + [(k, k + 1) for k in range(min(p, 8))] + [(0, (p + 1) // 2)] * (p >= 2)
+
+
+def _run_norms(y: FinVector, pieces: Sequence[FinVector], runs: Sequence[tuple[int, int]],
+               table: Optional[np.ndarray], system: NormSystem, guard: int) -> list[float]:
+    """The norm of each run [lo, hi) of y's successive ``pieces``: the
+    norm of the segment of y the run covers, which is the combination of
+    the pieces with 1 on the run and 0 elsewhere.  As in ``_greedy_split``,
+    a segment that routes flat reads the composition tables and any other
+    reads ``table``, y's whole N table; without a table, those go through
+    one ``norm_values`` call."""
+    ends = [0, *itertools.accumulate(piece.support_size() for piece in pieces)]
+    vabs = tuple(abs(v) for v in y.values)
+    norms: dict[tuple[int, int], float] = {}
+    for lo, hi in runs:
+        a, b = ends[lo], ends[hi]
+        if _routes_flat(vabs[a:b]):
+            norms[lo, hi] = constant_vector_norm(system, b - a, vabs[a], guard=guard)
+        elif table is not None:
+            norms[lo, hi] = float(table[a, b - 1])
+    rest = [run for run in runs if run not in norms]
+    norms.update(zip(rest, norm_values([FinVector(y.coords[ends[lo]:ends[hi]])
+                                        for lo, hi in rest], system, guard=guard)))
+    return [norms[run] for run in runs]
 
 
 def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], *,
@@ -677,7 +707,15 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
     thins out.  Later pools are subsets of the first, whose members' whole
     N tables are filled once (``engine._n_tables``) for every split to read;
     members that route flat or are refused split from their own windows,
-    tiles included, as ``greedy_split`` does."""
+    tiles included, as ``greedy_split`` does.
+
+    Agreement compares the cluster's lead with the next two members, as
+    ``equivalence_constant`` would, on 0/1 tuples of their pieces: all of
+    them, each of the first 8 alone, and the first half.  Each tuple sets
+    a run of successive pieces, whose norm is that of one segment of the
+    member: it reads the composition tables when the segment routes flat
+    and the member's table otherwise (``_run_norms``).  Only the segments
+    of members without a table go through ``norm_values`` and the memo."""
     if len(eps_schedule) == 0:
         raise DomainError("eps schedule must hold at least one entry")
     _check_schedule(eps_schedule)
@@ -724,15 +762,13 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
 
         ratio = agree = None
         if len(cluster) >= 2 and p_n >= 1:
-            lead = cluster[0]
-            fam = _agreement_family(p_n)
+            runs = _agreement_family(p_n)
+            lead, *others = [_run_norms(blocks[i], profiles[i].pieces, runs, tables.get(i),
+                                        system, guard) for i in cluster[:3]]
             worst = 1.0
-            lead_seq = BlockSequence(profiles[lead].pieces)
-            for other in cluster[1:3]:
-                other_seq = BlockSequence(profiles[other].pieces)
+            for other in others:
                 try:
-                    worst = max(worst, equivalence_constant(
-                        lead_seq, other_seq, fam, system=system, guard=guard))
+                    worst = max(worst, _worst_ratio(runs, lead, other))
                 except NotEquivalentOnFamilyError:
                     worst = math.inf
             ratio = worst

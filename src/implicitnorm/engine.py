@@ -101,6 +101,7 @@ need processes, not threads.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
@@ -136,6 +137,9 @@ _CUBE_BYTES = 1 << 20
 # under the 4.5 MB that TestMemoryGuard allows; 2^16 is over it.
 DP_BATCH = 1 << 14
 BRUTE_SUPPORT_CAP = 8
+# Coefficients a MemoTable's keys may hold in all (about 32 MB of float
+# objects and tuple slots); past it the oldest entries go first.
+_MEMO_MAX_COEFFS = 1 << 20
 # ``norm`` evaluates its witness on the input; the witness adds left to
 # right while the DP nests its sums, so they agree to rounding, not bits.
 WITNESS_CHECK_RTOL = 1e-12
@@ -275,23 +279,32 @@ class MemoTable:
     order: the norm is invariant under sign flips and spreadings by
     construction, so this is the finest key that still deduplicates.
     Cached values are exactly the values the engine computes, so lookups
-    never change results.
+    never change results.  The keys hold at most ``_MEMO_MAX_COEFFS``
+    coefficients in all: a put past it evicts the oldest entries, in
+    insertion order, until they fit.
     """
 
     def __init__(self):
-        self._data: dict = {}
+        self._data: OrderedDict = OrderedDict()
+        self._coeffs = 0
 
     def get(self, system: NormSystem, canon: tuple[float, ...]) -> Optional[float]:
         return self._data.get((system, canon))
 
     def put(self, system: NormSystem, canon: tuple[float, ...], value: float) -> None:
+        if (system, canon) not in self._data:
+            self._coeffs += len(canon)
         self._data[(system, canon)] = value
+        while self._coeffs > _MEMO_MAX_COEFFS:
+            (_, old), _ = self._data.popitem(last=False)
+            self._coeffs -= len(old)
 
     def __len__(self) -> int:
         return len(self._data)
 
     def clear(self) -> None:
         self._data.clear()
+        self._coeffs = 0
 
 
 GLOBAL_MEMO = MemoTable()

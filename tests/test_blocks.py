@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from implicitnorm import (BlockSequence, blocks, DomainError, F_SYSTEM, FinVector,
                           G_SYSTEM, NotEquivalentOnFamilyError, SplitProfile,
-                          engine, log2_affine_system,
+                          SupportGuardError, engine, log2_affine_system,
                           average_split_experiment, build_projection,
                           domination_margin, equivalence_constant,
                           greedy_block_select, greedy_split, l1_average_block,
@@ -16,7 +16,7 @@ from implicitnorm import (BlockSequence, blocks, DomainError, F_SYSTEM, FinVecto
                           split_count_bounds, stabilize_subsequence,
                           tail_constant)
 from implicitnorm.blocks import growth_index_repr
-from conftest import (STABILIZE_FAMILIES, STABILIZE_SYSTEMS, normalized,
+from conftest import (STABILIZE_FAMILIES, STABILIZE_SYSTEMS, _near_flat, normalized,
                       random_block_sequence, random_vector)
 
 ones = lambda n: FinVector.from_dense([1.0] * n)
@@ -507,6 +507,32 @@ class TestGreedySelect:
         assert growth_index_repr(3 * (2 ** 400 - 1)) == "3*(2^400-1)"
 
 
+def _flat_member_family():
+    """Four near-flat members of support 80, member 1 bitwise flat."""
+    rng = np.random.default_rng(1)
+    return BlockSequence(normalized(FinVector.from_dense([1.0] * 80, start=81)) if k == 1
+                         else _near_flat(rng, 80, 1 + 80 * k) for k in range(4))
+
+
+def reference_agreement(st, guard, system=F_SYSTEM):
+    """A state's agreement_ratio and agreement_ok by their definition:
+    equivalence_constant of the lead's pieces against those of each of
+    the next two members, on all pieces, each of the first 8 alone and
+    the first half."""
+    p = st.piece_count
+    tuples = [(1.0,) * p] + [tuple(float(j == k) for j in range(p)) for k in range(min(p, 8))]
+    tuples += [tuple(float(j < (p + 1) // 2) for j in range(p))] * (p >= 2)
+    lead, worst = BlockSequence(st.profiles[st.members[0]].pieces), 1.0
+    for other in st.members[1:3]:
+        try:
+            worst = max(worst, equivalence_constant(
+                lead, BlockSequence(st.profiles[other].pieces), tuples,
+                system=system, guard=guard))
+        except NotEquivalentOnFamilyError:
+            worst = math.inf
+    return worst, worst <= 1.0 + st.eps + engine.DEFAULT_TOLERANCE
+
+
 class TestStabilize:
     def _flat_family(self, count=6, length=32):
         a = math.log2(length + 1) / length
@@ -577,14 +603,89 @@ class TestStabilize:
             chosen, states = stabilize_subsequence(fam, schedule, guard=guard)
             return chosen, [(st, st.profiles) for st in states]
         want = outputs()
+        engine.GLOBAL_MEMO.clear()      # so that no norm is read from the first run
         monkeypatch.setattr(engine, "DP_MEMORY_LIMIT_BYTES", 4 * engine.dp_table_bytes(24))
         fill, shapes = engine._fill, []
         monkeypatch.setattr(engine, "_fill",
                             lambda pad, system, K:
                             shapes.append(pad.shape) or fill(pad, system, K))
         assert outputs() == want
-        # the six members' tables come first, in parts of four and two
-        assert shapes[:2] == [(4, 48), (2, 48)]
+        # the six members' tables, in parts of four and two, are the only
+        # fills: the agreement step reads them
+        assert shapes == [(4, 48), (2, 48)]
+
+    def test_one_fill_per_stabilize(self, monkeypatch):
+        fam, schedule, guard, _, _ = STABILIZE_FAMILIES["block-pipeline"]()
+        fill, shapes = engine._fill, []
+        monkeypatch.setattr(engine, "_fill",
+                            lambda pad, system, K:
+                            shapes.append(pad.shape) or fill(pad, system, K))
+        engine.GLOBAL_MEMO.clear()
+        stabilize_subsequence(fam, schedule, guard=guard)
+        assert shapes == [(6, 48)]
+        assert len(engine.GLOBAL_MEMO) == 0     # no agreement norm is stored
+
+    # name -> (family, schedule, guard, lengths of the agreement segments
+    # read through constant_vector_norm, whether any goes to norm_values)
+    AGREEMENT_ROUTES = {
+        # every member routes flat as a whole, as does each 800-long segment
+        "flat-800": lambda: (*STABILIZE_FAMILIES["flat-800"]()[:3], {800}, False),
+        # tabled members whose first two pieces are 66 bitwise-equal ones
+        "flat-dip-flat-161": lambda: (*STABILIZE_FAMILIES["flat-dip-flat-161"]()[:3],
+                                      {66}, False),
+        # the guard refuses the members of support 24, which never agree
+        # with the tabled ones of support 16
+        "above-guard": lambda: (*STABILIZE_FAMILIES["above-guard"]()[:3], set(), False),
+        # member 1 routes flat as a whole: its 80-long segment reads the
+        # composition tables and its shorter ones go to norm_values
+        "flat-member-80": lambda: (_flat_member_family(), [1.0, 0.5],
+                                   engine.DEFAULT_SUPPORT_GUARD, {80}, True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(AGREEMENT_ROUTES))
+    def test_agreement_routes_match_equivalence_constant(self, monkeypatch, name):
+        fam, schedule, guard, flat_lengths, batched = self.AGREEMENT_ROUTES[name]()
+        run_norms, flat_norm, batch = blocks._run_norms, blocks.constant_vector_norm, \
+            blocks.norm_values
+        inside, flat, rows = [], set(), []
+
+        def agreement(*a):
+            inside.append(True)
+            out = run_norms(*a)
+            inside.clear()
+            return out
+
+        def traced_flat(system, length, c, **kw):
+            if inside:
+                flat.add(length)
+            return flat_norm(system, length, c, **kw)
+
+        def traced_batch(xs, *a, **kw):
+            if inside:
+                rows.extend(xs)
+            return batch(xs, *a, **kw)
+        monkeypatch.setattr(blocks, "_run_norms", agreement)
+        monkeypatch.setattr(blocks, "constant_vector_norm", traced_flat)
+        monkeypatch.setattr(blocks, "norm_values", traced_batch)
+        _, states = stabilize_subsequence(fam, schedule, guard=guard)
+        monkeypatch.undo()
+        assert flat == flat_lengths
+        assert bool(rows) == batched
+        agreed = [st for st in states if st.agreement_ratio is not None]
+        assert agreed
+        for st in agreed:
+            assert (st.agreement_ratio, st.agreement_ok) == reference_agreement(st, guard)
+
+    def test_refused_member_refuses_as_equivalence_constant_does(self):
+        # two translates of a support-24 block that the guard of 20 refuses:
+        # each splits from short windows, and the agreement meets the guard
+        y = STABILIZE_FAMILIES["above-guard"]()[0][1]
+        fam = BlockSequence([y, y.spread(lambda i: i + 24)])
+        with pytest.raises(SupportGuardError) as want:
+            equivalence_constant(BlockSequence([y]), BlockSequence([y]), [(1.0,)], guard=20)
+        with pytest.raises(SupportGuardError) as got:
+            stabilize_subsequence(fam, [0.6], guard=20)
+        assert str(got.value) == str(want.value)
 
     def test_depth_exceeding_family(self):
         fam = self._flat_family(count=3)

@@ -1638,6 +1638,33 @@ class TestMemoAndDeterminism:
         v3 = norm_value(x, memo=None)
         assert v1 == v2 == v3
 
+    def test_eviction_drops_the_oldest_entries(self, monkeypatch):
+        monkeypatch.setattr(engine, "_MEMO_MAX_COEFFS", 6)
+        memo = MemoTable()
+        for n in (1, 2, 3):
+            memo.put(F_SYSTEM, (1.0,) * n, float(n))
+        memo.put(F_SYSTEM, (1.0,) * 2, 2.0)     # no new coefficients, no eviction
+        assert len(memo) == 3
+        memo.put(G_SYSTEM, (2.0,) * 3, 4.0)     # 9 coefficients: the two oldest go
+        assert list(memo._data) == [(F_SYSTEM, (1.0,) * 3), (G_SYSTEM, (2.0,) * 3)]
+        assert memo.get(F_SYSTEM, (1.0,)) is None
+        assert memo.get(F_SYSTEM, (1.0,) * 3) == 3.0
+        memo.clear()
+        memo.put(F_SYSTEM, (1.0,) * 6, 6.0)     # the cleared memo counts from zero
+        assert len(memo) == 1
+
+    def test_values_survive_eviction(self, monkeypatch):
+        monkeypatch.setattr(engine, "_MEMO_MAX_COEFFS", 40)
+        rng = np.random.default_rng(16)
+        xs = [random_vector(rng, max_support=9) for _ in range(30)]
+        assert sum(map(len, {tuple(map(abs, x.values)) for x in xs})) > 40   # so it evicts
+        want = np.array([norm_value(x, memo=None) for x in xs])
+        memo = MemoTable()
+        for _ in range(2):      # the second pass reads what eviction kept
+            assert np.array(norm_values(xs, memo=memo)).tobytes() == want.tobytes()
+            assert sum(len(canon) for _, canon in memo._data) <= 40
+        assert np.array([norm_value(x, memo=memo) for x in xs]).tobytes() == want.tobytes()
+
     def test_bitwise_reproducibility(self):
         rng = np.random.default_rng(15)
         xs = [random_vector(rng, max_support=9) for _ in range(20)]
