@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -102,7 +102,12 @@ def default_nu_grid() -> np.ndarray:
     return np.exp2(np.arange(0, 16 * 4 + 1) / 4)
 
 
-def _require_grid(name: str, grid: np.ndarray) -> np.ndarray:
+def _grid(name: str, grid: Optional[np.ndarray], default: Callable[[], np.ndarray],
+          lo: float) -> np.ndarray:
+    """The entries >= lo of ``grid`` as floats, of ``default()`` when it is
+    None; an audit refuses an empty cut."""
+    grid = default() if grid is None else np.asarray(grid, dtype=float)
+    grid = grid[grid >= lo]
     if grid.size == 0:
         raise DomainError(f"empty grid for {name}")
     return grid
@@ -112,8 +117,6 @@ def _report(name: str, grid_desc: str, margins: np.ndarray,
             axes: tuple[np.ndarray, ...]) -> AuditReport:
     """The minimum margin and its grid point: axis k of ``margins`` runs
     over ``axes[k]``."""
-    if margins.size == 0:
-        raise DomainError(f"empty grid for {name}")
     idx = int(np.argmin(margins))
     mval = float(margins.flat[idx])
     pt = tuple(float(ax[k]) for ax, k in zip(axes, np.unravel_index(idx, margins.shape)))
@@ -123,8 +126,7 @@ def _report(name: str, grid_desc: str, margins: np.ndarray,
 
 def audit_slack(c: float, xi_grid: Optional[np.ndarray] = None) -> AuditReport:
     """E1: weight(xi) - 1 >= weight(xi)/c for xi >= 2."""
-    grid = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
-    grid = _require_grid("E1", grid[grid >= 2.0])
+    grid = _grid("E1", xi_grid, default_xi_grid, 2.0)
     fx = np.log2(grid + 1.0)
     margins = (fx - 1.0) - fx / c
     return _report("E1", f"xi in [2, {grid.max():g}] ({grid.size} pts)",
@@ -136,8 +138,7 @@ def audit_product_growth_printed(c: float, xi_grid: Optional[np.ndarray] = None
     """E2 as printed: c*weight(xi) >= weight(xi*xi') - weight(xi) for
     xi, xi' >= c.  Fails for small xi against large xi'; the audit is
     expected to surface that counterexample family."""
-    grid = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
-    grid = _require_grid("E2_printed", grid[grid >= c])
+    grid = _grid("E2_printed", xi_grid, default_xi_grid, c)
     xi = grid[:, None]
     xip = grid[None, :]
     fx = np.log2(xi + 1.0)
@@ -150,8 +151,7 @@ def audit_subadditivity(xi_grid: Optional[np.ndarray] = None) -> AuditReport:
     """E2 in the form the refinement proof actually uses:
     weight(xi*xi') <= weight(xi) + weight(xi'), i.e. subadditivity, which
     holds for all xi, xi' >= 1 since xi*xi' + 1 <= (xi+1)(xi'+1)."""
-    grid = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
-    grid = _require_grid("E2_subadditive", grid[grid >= 1.0])
+    grid = _grid("E2_subadditive", xi_grid, default_xi_grid, 1.0)
     xi = grid[:, None]
     xip = grid[None, :]
     # (xi+1)(xi'+1) = xi*xi' + xi + xi' + 1, so the margin collapses to
@@ -164,8 +164,7 @@ def audit_subadditivity(xi_grid: Optional[np.ndarray] = None) -> AuditReport:
 
 def audit_root_power(c: float, xi_grid: Optional[np.ndarray] = None) -> AuditReport:
     """E3: weight(xi ** (1/sqrt(weight(xi)))) <= c * sqrt(weight(xi))."""
-    grid = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
-    grid = _require_grid("E3", grid[grid >= c])
+    grid = _grid("E3", xi_grid, default_xi_grid, c)
     fx = np.log2(grid + 1.0)
     lam = np.log2(grid)
     lam_root = lam / np.sqrt(fx)
@@ -177,10 +176,8 @@ def audit_root_power(c: float, xi_grid: Optional[np.ndarray] = None) -> AuditRep
 def audit_power(c: float, nu_grid: Optional[np.ndarray] = None,
                 xi_grid: Optional[np.ndarray] = None) -> AuditReport:
     """E4: weight(xi ** nu) <= c * nu * weight(xi) for xi >= c, nu >= 1."""
-    xg = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
-    ng = default_nu_grid() if nu_grid is None else np.asarray(nu_grid, dtype=float)
-    xg = _require_grid("E4", xg[xg >= c])
-    ng = _require_grid("E4", ng[ng >= 1.0])
+    xg = _grid("E4", xi_grid, default_xi_grid, c)
+    ng = _grid("E4", nu_grid, default_nu_grid, 1.0)
     lam = np.log2(xg)[None, :]
     fx = np.log2(xg + 1.0)[None, :]
     nu = ng[:, None]

@@ -13,7 +13,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -166,12 +166,15 @@ def greedy_split(y: FinVector, eps: float, system: NormSystem = F_SYSTEM, *,
     ``norm_value`` does, and skip the window.  Segment norms are not
     written to the memo.
     """
-    return _greedy_split(y, eps, system, tol, guard)
+    return _greedy_split(y, eps, system, tol, guard)[0]
 
 
 def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guard: int,
-                  table: Optional[np.ndarray] = None) -> SplitProfile:
-    """``greedy_split``, reading ``table``, y's whole N table, when given
+                  table: Optional[np.ndarray] = None
+                  ) -> tuple[SplitProfile, Optional[Callable[[int, int], float]]]:
+    """``greedy_split``'s profile and its reader: seg_norm(a, b) is bitwise
+    ``norm_value`` of y's coordinates a..b, not written to the memo (a zero
+    y has none).  It reads ``table``, y's whole N table, when given
     (``stabilize_subsequence``'s members).  Without it, once eps and y are
     accepted, y's whole table is filled when L <= ``_WHOLE_TABLE_MAX`` and
     the interval route admits L; otherwise segments read windows, each
@@ -192,7 +195,7 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps}")
     if y.is_zero():
-        return SplitProfile((), (), eps)
+        return SplitProfile((), (), eps), None
     if y.linf() > eps and not _close(y.linf(), eps, tol):
         raise DomainError(f"coordinate exceeds eps: |{y.linf()}| > {eps}")
 
@@ -249,7 +252,7 @@ def _greedy_split(y: FinVector, eps: float, system: NormSystem, tol: float, guar
         pieces.append(FinVector(coords[p:e + 1]))
         norms.append(nv)
         p = e + 1
-    return SplitProfile(tuple(pieces), tuple(norms), eps)
+    return SplitProfile(tuple(pieces), tuple(norms), eps), seg_norm
 
 
 def _tile_width(vabs: tuple[float, ...], eps: float, system: NormSystem, tol: float) -> int:
@@ -670,29 +673,6 @@ def _agreement_family(p: int) -> list[tuple[int, int]]:
     return [(0, p)] + [(k, k + 1) for k in range(min(p, 8))] + [(0, (p + 1) // 2)] * (p >= 2)
 
 
-def _run_norms(y: FinVector, pieces: Sequence[FinVector], runs: Sequence[tuple[int, int]],
-               table: Optional[np.ndarray], system: NormSystem, guard: int) -> list[float]:
-    """The norm of each run [lo, hi) of y's successive ``pieces``: the
-    norm of the segment of y the run covers, which is the combination of
-    the pieces with 1 on the run and 0 elsewhere.  As in ``_greedy_split``,
-    a segment that routes flat reads the composition tables and any other
-    reads ``table``, y's whole N table; without a table, those go through
-    one ``norm_values`` call."""
-    ends = [0, *itertools.accumulate(piece.support_size() for piece in pieces)]
-    vabs = tuple(abs(v) for v in y.values)
-    norms: dict[tuple[int, int], float] = {}
-    for lo, hi in runs:
-        a, b = ends[lo], ends[hi]
-        if _routes_flat(vabs[a:b]):
-            norms[lo, hi] = constant_vector_norm(system, b - a, vabs[a], guard=guard)
-        elif table is not None:
-            norms[lo, hi] = float(table[a, b - 1])
-    rest = [run for run in runs if run not in norms]
-    norms.update(zip(rest, norm_values([FinVector(y.coords[ends[lo]:ends[hi]])
-                                        for lo, hi in rest], system, guard=guard)))
-    return [norms[run] for run in runs]
-
-
 def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], *,
                           system: NormSystem = F_SYSTEM,
                           tol: float = DEFAULT_TOLERANCE,
@@ -713,9 +693,9 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
     ``equivalence_constant`` would, on 0/1 tuples of their pieces: all of
     them, each of the first 8 alone, and the first half.  Each tuple sets
     a run of successive pieces, whose norm is that of one segment of the
-    member: it reads the composition tables when the segment routes flat
-    and the member's table otherwise (``_run_norms``).  Only the segments
-    of members without a table go through ``norm_values`` and the memo."""
+    member, read by the reader the member's own split returned: its whole
+    table, the composition tables when the segment routes flat, or its
+    windows.  No agreement norm goes to the memo."""
     if len(eps_schedule) == 0:
         raise DomainError("eps schedule must hold at least one entry")
     _check_schedule(eps_schedule)
@@ -739,8 +719,9 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
                 [blocks[i].values for i in ids], system, guard)}
         if not pool:
             break
-        profiles = {i: _greedy_split(blocks[i], eps_n, system, tol, guard, tables.get(i))
-                    for i in pool}
+        splits = {i: _greedy_split(blocks[i], eps_n, system, tol, guard, tables.get(i))
+                  for i in pool}
+        profiles = {i: prof for i, (prof, _) in splits.items()}
         by_count: dict[int, list[int]] = {}
         for i in pool:
             by_count.setdefault(profiles[i].count, []).append(i)
@@ -763,16 +744,13 @@ def stabilize_subsequence(blocks: BlockSequence, eps_schedule: Sequence[float], 
         ratio = agree = None
         if len(cluster) >= 2 and p_n >= 1:
             runs = _agreement_family(p_n)
-            lead, *others = [_run_norms(blocks[i], profiles[i].pieces, runs, tables.get(i),
-                                        system, guard) for i in cluster[:3]]
-            worst = 1.0
-            for other in others:
-                try:
-                    worst = max(worst, _worst_ratio(runs, lead, other))
-                except NotEquivalentOnFamilyError:
-                    worst = math.inf
-            ratio = worst
-            agree = worst <= 1.0 + eps_n + tol
+            norms = []
+            for i in cluster[:3]:   # run [lo, hi) is the segment ends[lo]..ends[hi] - 1
+                ends = [0, *itertools.accumulate(q.support_size() for q in profiles[i].pieces)]
+                norms.append([splits[i][1](ends[lo], ends[hi] - 1) for lo, hi in runs])
+            lead, *others = norms
+            ratio = max(_worst_ratio(runs, lead, other) for other in others)
+            agree = ratio <= 1.0 + eps_n + tol
 
         states.append(StabilizationState(n, tuple(cluster), eps_n, p_n,
                                          {i: profiles[i] for i in cluster},

@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from . import engine, serialize
-from .engine import (DomainError, NormSystem, SupportGuardError, get_system,
-                     log2_affine_system)
+from .engine import (DomainError, EngineCheckError, NormSystem, SupportGuardError,
+                     get_system, log2_affine_system)
 from .vectors import FinVector, VectorError
 
 if TYPE_CHECKING:
@@ -432,6 +432,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SupportGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except EngineCheckError as exc:
+        print(f"engine check failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except (DomainError, VectorError, json.JSONDecodeError,
             FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -21,6 +21,12 @@ class VectorError(ValueError):
     """Malformed vector data or an invalid coordinate operation."""
 
 
+def _is_json(value, kinds) -> bool:
+    """Whether a parsed JSON ``value`` is of ``kinds``; bools never are,
+    although Python counts them as ints."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # FinVector
 # ---------------------------------------------------------------------------
@@ -81,16 +87,27 @@ class FinVector:
             raise VectorError("vector JSON must be an object")
         if "coords" in data:
             pairs = data["coords"]
-            try:
-                return FinVector((int(i), float(v)) for i, v in pairs)
-            except (TypeError, ValueError) as exc:
-                raise VectorError(f"invalid coords entry: {exc}") from exc
-        if "dense" in data:
+            if not isinstance(pairs, list):
+                raise VectorError("coords form must be a list")
+            for pair in pairs:
+                if not (isinstance(pair, list) and len(pair) == 2
+                        and _is_json(pair[0], int) and _is_json(pair[1], (int, float))):
+                    raise VectorError(f"invalid coords entry {pair!r}: "
+                                      "need [integer index, number]")
+        elif "dense" in data:
             vals = data["dense"]
-            if not isinstance(vals, Sequence):
+            if not isinstance(vals, list):
                 raise VectorError("dense form must be a list")
-            return FinVector.from_dense([float(v) for v in vals])
-        raise VectorError('vector JSON needs a "coords" or "dense" key')
+            for k, v in enumerate(vals):
+                if not _is_json(v, (int, float)):
+                    raise VectorError(f"invalid dense entry {k}: {v!r} is not a number")
+            pairs = list(enumerate(vals, 1))
+        else:
+            raise VectorError('vector JSON needs a "coords" or "dense" key')
+        try:
+            return FinVector(pairs)
+        except OverflowError:   # an integer value past the float range
+            raise VectorError("values must be finite") from None
 
     def to_jsonable(self) -> dict:
         return {"coords": [[i, v] for i, v in self.coords]}

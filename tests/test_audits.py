@@ -119,8 +119,11 @@ class TestInequalityAudits:
         assert rep.min_margin == pytest.approx(expected, rel=1e-12)
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="empty grid for E1"):
             audit_slack(3.0, np.array([]))
+        # a grid with no point at or above the audit's lower end is empty
+        with pytest.raises(DomainError, match="empty grid for E4"):
+            audit_power(3.0, np.array([0.5]), np.array([4.0]))
 
 
 class TestFindMinConstant:

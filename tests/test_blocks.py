@@ -187,7 +187,7 @@ class TestGreedySplit:
                 # no support takes a whole table now, so every split windows
                 monkeypatch.setattr(blocks, "_WHOLE_TABLE_MAX", 0)
                 window = blocks._greedy_split(y, eps, system, engine.DEFAULT_TOLERANCE,
-                                              engine.DEFAULT_SUPPORT_GUARD, None)
+                                              engine.DEFAULT_SUPPORT_GUARD, None)[0]
                 monkeypatch.undo()
                 assert prof == window
                 assert np.array(prof.piece_norms).tobytes() == \
@@ -584,7 +584,7 @@ class TestStabilize:
         monkeypatch.undo()
         assert len(states) == levels
         fresh = {}
-        for (y, eps, system_, tol, guard_, table), prof in splits:
+        for (y, eps, system_, tol, guard_, table), (prof, _) in splits:
             # a member reads its whole table exactly when the interval
             # route admits it and it does not route flat as a whole
             assert (table is not None) == (y.support_size() in tabled)
@@ -626,34 +626,35 @@ class TestStabilize:
         assert len(engine.GLOBAL_MEMO) == 0     # no agreement norm is stored
 
     # name -> (family, schedule, guard, lengths of the agreement segments
-    # read through constant_vector_norm, whether any goes to norm_values)
+    # read through constant_vector_norm)
     AGREEMENT_ROUTES = {
         # every member routes flat as a whole, as does each 800-long segment
-        "flat-800": lambda: (*STABILIZE_FAMILIES["flat-800"]()[:3], {800}, False),
+        "flat-800": lambda: (*STABILIZE_FAMILIES["flat-800"]()[:3], {800}),
         # tabled members whose first two pieces are 66 bitwise-equal ones
-        "flat-dip-flat-161": lambda: (*STABILIZE_FAMILIES["flat-dip-flat-161"]()[:3],
-                                      {66}, False),
+        "flat-dip-flat-161": lambda: (*STABILIZE_FAMILIES["flat-dip-flat-161"]()[:3], {66}),
         # the guard refuses the members of support 24, which never agree
         # with the tabled ones of support 16
-        "above-guard": lambda: (*STABILIZE_FAMILIES["above-guard"]()[:3], set(), False),
+        "above-guard": lambda: (*STABILIZE_FAMILIES["above-guard"]()[:3], set()),
         # member 1 routes flat as a whole: its 80-long segment reads the
-        # composition tables and its shorter ones go to norm_values
+        # composition tables and its shorter ones its own windows
         "flat-member-80": lambda: (_flat_member_family(), [1.0, 0.5],
-                                   engine.DEFAULT_SUPPORT_GUARD, {80}, True),
+                                   engine.DEFAULT_SUPPORT_GUARD, {80}),
     }
 
     @pytest.mark.parametrize("name", sorted(AGREEMENT_ROUTES))
     def test_agreement_routes_match_equivalence_constant(self, monkeypatch, name):
-        fam, schedule, guard, flat_lengths, batched = self.AGREEMENT_ROUTES[name]()
-        run_norms, flat_norm, batch = blocks._run_norms, blocks.constant_vector_norm, \
-            blocks.norm_values
+        fam, schedule, guard, flat_lengths = self.AGREEMENT_ROUTES[name]()
+        family, worst_ratio = blocks._agreement_family, blocks._worst_ratio
+        flat_norm, batch = blocks.constant_vector_norm, engine.norm_values
         inside, flat, rows = [], set(), []
 
-        def agreement(*a):
+        def agreement(p):       # the agreement step reads its norms from here
             inside.append(True)
-            out = run_norms(*a)
+            return family(p)
+
+        def ratio(*a):          # to its first ratio
             inside.clear()
-            return out
+            return worst_ratio(*a)
 
         def traced_flat(system, length, c, **kw):
             if inside:
@@ -661,16 +662,20 @@ class TestStabilize:
             return flat_norm(system, length, c, **kw)
 
         def traced_batch(xs, *a, **kw):
-            if inside:
-                rows.extend(xs)
+            rows.extend(xs)
             return batch(xs, *a, **kw)
-        monkeypatch.setattr(blocks, "_run_norms", agreement)
+        monkeypatch.setattr(blocks, "_agreement_family", agreement)
+        monkeypatch.setattr(blocks, "_worst_ratio", ratio)
         monkeypatch.setattr(blocks, "constant_vector_norm", traced_flat)
         monkeypatch.setattr(blocks, "norm_values", traced_batch)
+        monkeypatch.setattr(engine, "norm_values", traced_batch)
+        engine.GLOBAL_MEMO.clear()
         _, states = stabilize_subsequence(fam, schedule, guard=guard)
         monkeypatch.undo()
         assert flat == flat_lengths
-        assert bool(rows) == batched
+        # no family of any step goes to norm_values, and nothing to the memo
+        assert rows == []
+        assert len(engine.GLOBAL_MEMO) == 0
         agreed = [st for st in states if st.agreement_ratio is not None]
         assert agreed
         for st in agreed:

@@ -115,6 +115,24 @@ class TestSeqCommands:
         assert code == 3
         assert "resource guard" in err
 
+    def test_engine_check_failure_exit_1(self):
+        # l1_average_block scales by F's w(n)/n, so under G its first block
+        # does not norm to 1
+        code, out, err = run_cli("seq", "--system", "g", "l1", "--m", "4", "--n", "15")
+        assert (code, out) == (1, "")
+        assert err == ("engine check failed: flat block of length 15 normalised "
+                       "to 1.5086349891920565, not 1\n")
+
+    def test_select_reports_engine_check_failure_as_level_error(self):
+        code, out, _ = run_cli("seq", "--system", "g", "select", "--budget", "1")
+        assert code == 0
+        assert json.loads(out) == {
+            "all_conditions_met": False, "block_supports": [], "growth_indices": ["1"],
+            "levels": [{"eps": 0.5, "level": 1, "m": 8, "n_len": 256, "start": 1,
+                        "error": "flat block of length 256 normalised to "
+                                 "1.703776021571756, not 1"}],
+            "schedule_flagged_not_summable": False}
+
     def test_select_reports_symbolic_growth(self):
         code, out, _ = run_cli("seq", "select", "--budget", "1",
                                "--support-budget", "64")
@@ -283,8 +301,12 @@ class TestStdoutPins:
          "5fb33e29756040d4e41608daafd1fea216778f43cae2af98749fed9e6feb8b76"),
         (("seq", "stabilize", "--eps-schedule", "[1.0,0.5,0.25]", _stabilize_blocks()),
          "e74dcc107feaf14eb62df8a3ff2bd15d60db9bd250193a2666bfbd188f64a5fd"),
+        (("audit", "ineq", "--c", "3"),
+         "94fdc7ec59d0e8658ab7a7e7744dabc349461d2e02ae1134799e467535092181"),
+        (("audit", "ineq", "--c", "3", "--csv"),
+         "92afe95b5d1e01b8e8d786767dfb05780c32ec94f95d72024abfaf44881153dc"),
     ], ids=["audit-gnorm", "seq-project", "norm-g-flat1016", "norm-f-flat1016",
-            "audit-lemma-duo", "seq-stabilize"])
+            "audit-lemma-duo", "seq-stabilize", "audit-ineq-c3", "audit-ineq-c3-csv"])
     def test_stdout_digest(self, argv, digest):
         code, out, _ = run_cli(*argv)
         assert code == 0
@@ -371,6 +393,25 @@ class TestInputErrors:
         # each of these once ended in a traceback and exit 1, a wrong
         # answer, or a pass that checked nothing
         code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert "input error" in err and key in err
+
+    @pytest.mark.parametrize("vector,key", [
+        ('{"coords":[[1.9,2]]}', "coords entry [1.9, 2]"),
+        ('{"coords":[[true,2]]}', "coords entry [True, 2]"),
+        ('{"coords":[["3",2]]}', "coords entry ['3', 2]"),
+        ('{"dense":[true,2]}', "dense entry 0: True"),
+        ('{"dense":["1.5"]}', "dense entry 0: '1.5'"),
+        ('{"dense":"12"}', "dense form must be a list"),
+        ('{"coords":{}}', "coords form must be a list"),
+        ('{"dense":[1%s]}' % ("0" * 400), "values must be finite"),
+    ], ids=["coords-float-index", "coords-bool-index", "coords-string-index",
+            "dense-bool", "dense-string", "dense-not-list", "coords-not-list",
+            "dense-int-overflow"])
+    def test_vector_json_not_coerced_exit_2(self, vector, key):
+        # each of these once exited 0 with a silently changed vector, the
+        # last with a traceback
+        code, out, err = run_cli("norm", vector)
         assert (code, out) == (2, "")
         assert "input error" in err and key in err
 

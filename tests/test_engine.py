@@ -469,6 +469,20 @@ class TestCompositionBand:
         assert (r.character, r.character_tie) == engine._character_scan(
             r.value, 0.3, 0.3, _reference_layer_sums(F_SYSTEM, 1016), F_SYSTEM, 2, tol)
 
+    @pytest.mark.parametrize("L", [65, 100, 200, 1016])
+    def test_open_layer_raise_keeps_the_character(self, monkeypatch, L):
+        # at tol = 0.01 a layer whose sum is only bounded comes within
+        # tolerance of the value and no earlier layer hits, so the scan
+        # raises that layer's rows and goes again
+        raised, layer_sums = [], engine._FlatTables.layer_sums
+        monkeypatch.setattr(engine._FlatTables, "layer_sums",
+                            lambda self, k=None: raised.append(k) or layer_sums(self, k))
+        r = norm(ones(L), F_SYSTEM, tol=0.01)
+        monkeypatch.undo()
+        assert raised and None not in raised
+        assert (r.character, r.character_tie) == engine._character_scan(
+            r.value, 1.0, 1.0, _reference_layer_sums(F_SYSTEM, L), F_SYSTEM, 2, 0.01)
+
     def test_affine_systems_match_reference(self):
         # seeded log2(add + scale n) systems at L = 400, fresh tables for
         # each: what the capped fill and the bounded scan read, then the
