@@ -648,11 +648,13 @@ class TestStabilize:
         flat_norm, batch = blocks.constant_vector_norm, engine.norm_values
         inside, flat, rows = [], set(), []
 
-        def agreement(p):       # the agreement step reads its norms from here
+        # the agreement step reads its norms after building the family and
+        # before its first ratio
+        def agreement(p):
             inside.append(True)
             return family(p)
 
-        def ratio(*a):          # to its first ratio
+        def ratio(*a):
             inside.clear()
             return worst_ratio(*a)
 
